@@ -1,7 +1,6 @@
 #include "src/host/frame_allocator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 
 #include "src/fault/fault_domain.h"
@@ -10,7 +9,11 @@ namespace cki {
 
 FrameAllocator::FrameAllocator(PhysMem& mem, uint64_t base, uint64_t pages)
     : mem_(mem), base_(base), total_pages_(pages), bump_(0) {
-  assert((base & (kPageSize - 1)) == 0 && "frame range must be page aligned");
+  if ((base & (kPageSize - 1)) != 0) {
+    throw FatalHostError("FrameAllocator: frame range base " + std::to_string(base) +
+                         " is not page aligned");
+  }
+  counts_.reserve(kReservedOwners);
 }
 
 FrameAllocator::OwnerNode& FrameAllocator::EnsureNode(uint64_t idx) {
@@ -22,6 +25,32 @@ FrameAllocator::OwnerNode& FrameAllocator::EnsureNode(uint64_t idx) {
     nodes_[n] = std::make_unique<OwnerNode>();
   }
   return *nodes_[n];
+}
+
+FrameAllocator::OwnerCounts& FrameAllocator::Counts(OwnerId owner) {
+  if (owner >= counts_.size()) {
+    counts_.resize(static_cast<size_t>(owner) + 1);
+  }
+  return counts_[owner];
+}
+
+void FrameAllocator::AddSingle(OwnerId owner, uint64_t idx) {
+  OwnerCounts& c = Counts(owner);
+  auto n = static_cast<uint32_t>(idx >> kNodeShift);
+  c.singles++;
+  c.lo_node = std::min(c.lo_node, n);
+  c.hi_node = std::max(c.hi_node, n);
+}
+
+const std::pair<PhysSegment, OwnerId>* FrameAllocator::SegmentAt(uint64_t pa) const {
+  auto it = std::upper_bound(
+      segments_.begin(), segments_.end(), pa,
+      [](uint64_t a, const std::pair<PhysSegment, OwnerId>& s) { return a < s.first.base; });
+  if (it == segments_.begin()) {
+    return nullptr;
+  }
+  --it;
+  return it->first.Contains(pa) ? &*it : nullptr;
 }
 
 uint64_t FrameAllocator::AllocFrame(OwnerId owner) {
@@ -46,6 +75,7 @@ uint64_t FrameAllocator::AllocFrame(OwnerId owner) {
   }
   uint64_t idx = FrameIndex(pa);
   EnsureNode(idx).owner[idx & (kNodeFrames - 1)] = owner;
+  AddSingle(owner, idx);
   allocated_++;
   return pa;
 }
@@ -67,8 +97,8 @@ FreeResult FrameAllocator::FreeFrame(uint64_t pa) {
     TransferPrimary(idx);
     return FreeResult::kOk;
   }
+  counts_[node->owner[off]].singles--;
   node->owner[off] = kNoOwner;
-  node->carved[off] = false;
   free_list_.push_back(pa);
   allocated_--;
   return FreeResult::kOk;
@@ -87,50 +117,53 @@ PhysSegment FrameAllocator::AllocSegment(uint64_t pages, OwnerId owner) {
   PhysSegment seg{.base = base_ + bump_ * kPageSize, .pages = pages};
   mem_.InstallRange(seg.base, pages);
   segments_.emplace_back(seg, owner);
+  Counts(owner).seg_pages += pages;
   bump_ += pages;
   allocated_ += pages;
   return seg;
 }
 
 uint64_t FrameAllocator::ReclaimOwner(OwnerId owner) {
-  // Drop the dying holder's *shares* first, so primacy transfers below
-  // never hand a frame to the owner being reclaimed.
-  std::vector<uint64_t> share_keys;
-  for (const auto& [idx, holders] : shares_) {
-    (void)holders;
-    share_keys.push_back(idx);
+  if (owner >= counts_.size()) {
+    return 0;  // never held a frame, a segment or a share
   }
-  std::sort(share_keys.begin(), share_keys.end());
-  for (uint64_t idx : share_keys) {
-    auto it = shares_.find(idx);
+  const OwnerCounts held = counts_[owner];
+
+  // Drop the dying holder's *shares* first, so primacy transfers below
+  // never hand a frame to the owner being reclaimed. Each record is
+  // handled on its own, so map iteration order cannot leak into results.
+  uint64_t shares_left = held.shared;
+  for (auto it = shares_.begin(); shares_left > 0 && it != shares_.end();) {
     auto& holders = it->second;
-    holders.erase(std::remove(holders.begin(), holders.end(), owner), holders.end());
-    if (holders.empty()) {
-      shares_.erase(it);
-    }
+    auto dead = std::remove(holders.begin(), holders.end(), owner);
+    shares_left -= static_cast<uint64_t>(holders.end() - dead);
+    holders.erase(dead, holders.end());
+    it = holders.empty() ? shares_.erase(it) : std::next(it);
   }
 
   // Singleton frames: the direct-indexed table iterates in ascending frame
   // order by construction, so the free list (and thus every later
-  // allocation) is deterministic with no sort step. Frames a sibling clone
-  // still shares are transferred, not freed.
+  // allocation) is deterministic with no sort step. Only the owner's node
+  // extent is visited, and the sweep stops at its last singleton. Frames
+  // a sibling clone still shares are transferred, not freed.
   uint64_t freed = 0;
-  for (size_t n = 0; n < nodes_.size(); ++n) {
+  uint64_t singles_left = held.singles;
+  for (uint64_t n = held.lo_node; singles_left > 0 && n <= held.hi_node; ++n) {
     OwnerNode* node = nodes_[n].get();
     if (node == nullptr) {
       continue;
     }
-    for (uint64_t off = 0; off < kNodeFrames; ++off) {
+    for (uint64_t off = 0; singles_left > 0 && off < kNodeFrames; ++off) {
       if (node->owner[off] != owner) {
         continue;
       }
-      uint64_t idx = (static_cast<uint64_t>(n) << kNodeShift) | off;
+      singles_left--;
+      uint64_t idx = (n << kNodeShift) | off;
       if (shares_.count(idx) != 0) {
         TransferPrimary(idx);
         continue;
       }
       node->owner[off] = kNoOwner;
-      node->carved[off] = false;
       free_list_.push_back(base_ + idx * kPageSize);
       freed++;
     }
@@ -138,87 +171,69 @@ uint64_t FrameAllocator::ReclaimOwner(OwnerId owner) {
 
   // Delegated segments: return every page, drop the ownership record.
   // Pages carved out by an earlier transfer belong to another container
-  // now; pages with live sharers transfer instead of freeing.
+  // (or the free list) now; pages with live sharers transfer instead of
+  // freeing.
   for (auto it = segments_.begin(); it != segments_.end();) {
-    if (it->second == owner) {
-      const PhysSegment& seg = it->first;
-      for (uint64_t i = 0; i < seg.pages; ++i) {
-        uint64_t idx = FrameIndex(seg.base + i * kPageSize);
-        OwnerNode* node = NodeFor(idx);
-        uint64_t off = idx & (kNodeFrames - 1);
-        if (node != nullptr && node->owner[off] != kNoOwner) {
-          node->carved[off] = false;  // segment record goes away; owner rules now
-          continue;
-        }
-        if (auto sh = shares_.find(idx); sh != shares_.end()) {
-          EnsureNode(idx).owner[off] = sh->second.front();
-          sh->second.erase(sh->second.begin());
-          if (sh->second.empty()) {
-            shares_.erase(sh);
-          }
-          continue;
-        }
-        free_list_.push_back(base_ + idx * kPageSize);
-        freed++;
-      }
-      it = segments_.erase(it);
-    } else {
+    if (it->second != owner) {
       ++it;
+      continue;
     }
+    const PhysSegment& seg = it->first;
+    for (uint64_t i = 0; i < seg.pages; ++i) {
+      uint64_t idx = FrameIndex(seg.base + i * kPageSize);
+      OwnerNode* node = NodeFor(idx);
+      uint64_t off = idx & (kNodeFrames - 1);
+      if (node != nullptr && node->carved[off]) {
+        node->carved[off] = false;  // segment record goes away; owner rules now
+        continue;
+      }
+      if (auto sh = shares_.find(idx); sh != shares_.end()) {
+        OwnerId next = sh->second.front();
+        EnsureNode(idx).owner[off] = next;
+        AddSingle(next, idx);
+        counts_[next].shared--;
+        sh->second.erase(sh->second.begin());
+        if (sh->second.empty()) {
+          shares_.erase(sh);
+        }
+        continue;
+      }
+      free_list_.push_back(base_ + idx * kPageSize);
+      freed++;
+    }
+    it = segments_.erase(it);
   }
+  counts_[owner] = OwnerCounts{};
   allocated_ -= freed;
   return freed;
 }
 
-uint64_t FrameAllocator::OwnedFrames(OwnerId owner) const {
-  uint64_t n = 0;
-  for (const auto& node : nodes_) {
-    if (node == nullptr) {
-      continue;
-    }
-    for (uint64_t off = 0; off < kNodeFrames; ++off) {
-      if (node->owner[off] == owner) {
-        n++;
-      }
-    }
-  }
-  for (const auto& [seg, seg_owner] : segments_) {
-    if (seg_owner == owner) {
-      n += seg.pages;
-      // Carved pages were transferred to another container; they are
-      // counted through their singleton owner slot instead.
-      for (uint64_t i = 0; i < seg.pages; ++i) {
-        uint64_t idx = FrameIndex(seg.base + i * kPageSize);
-        const OwnerNode* node = NodeFor(idx);
-        if (node != nullptr && node->carved[idx & (kNodeFrames - 1)]) {
-          n--;
-        }
-      }
-    }
-  }
-  return n;
-}
-
 OwnerId FrameAllocator::OwnerOf(uint64_t pa) const {
-  OwnerId owner = OwnerSlot(FrameIndex(pa));
-  if (owner != kNoOwner) {
-    return owner;
-  }
-  for (const auto& [seg, seg_owner] : segments_) {
-    if (seg.Contains(pa)) {
-      return seg_owner;
+  uint64_t idx = FrameIndex(pa);
+  if (const OwnerNode* node = NodeFor(idx); node != nullptr) {
+    uint64_t off = idx & (kNodeFrames - 1);
+    if (node->owner[off] != kNoOwner) {
+      return node->owner[off];
+    }
+    if (node->carved[off]) {
+      return kHostOwner;  // carved out of its segment, then freed
     }
   }
-  return kHostOwner;
+  const auto* seg = SegmentAt(pa);
+  return seg != nullptr ? seg->second : kHostOwner;
 }
 
 void FrameAllocator::ShareFrame(uint64_t pa, OwnerId sharer) {
   shares_[FrameIndex(pa)].push_back(sharer);
+  Counts(sharer).shared++;
 }
 
 void FrameAllocator::TransferPrimary(uint64_t idx) {
   auto sh = shares_.find(idx);
-  assert(sh != shares_.end() && !sh->second.empty());
+  if (sh == shares_.end() || sh->second.empty()) {
+    throw FatalHostError("FrameAllocator: primacy transfer of unshared frame " +
+                         std::to_string(idx));
+  }
   OwnerId next = sh->second.front();
   sh->second.erase(sh->second.begin());
   if (sh->second.empty()) {
@@ -226,12 +241,18 @@ void FrameAllocator::TransferPrimary(uint64_t idx) {
   }
   OwnerNode& node = EnsureNode(idx);
   uint64_t off = idx & (kNodeFrames - 1);
-  if (node.owner[off] == kNoOwner) {
+  if (node.owner[off] != kNoOwner) {
+    counts_[node.owner[off]].singles--;
+  } else if (const auto* seg = SegmentAt(base_ + idx * kPageSize);
+             seg != nullptr && !node.carved[off]) {
     // The primary held this page through a delegated segment: carve it out
-    // so the segment's sweep and leak count skip it from now on.
+    // so the segment's sweep and count skip it from now on.
     node.carved[off] = true;
+    counts_[seg->second].seg_pages--;
   }
   node.owner[off] = next;
+  AddSingle(next, idx);
+  counts_[next].shared--;
 }
 
 bool FrameAllocator::ReleaseShare(uint64_t pa, OwnerId holder) {
@@ -246,6 +267,7 @@ bool FrameAllocator::ReleaseShare(uint64_t pa, OwnerId holder) {
       if (holders.empty()) {
         shares_.erase(sh);
       }
+      counts_[holder].shared--;
       return true;
     }
     return false;  // shared, but not by this holder: normal-free path
@@ -270,16 +292,6 @@ bool FrameAllocator::OwnedOrSharedBy(uint64_t pa, OwnerId holder) const {
     return false;
   }
   return std::find(sh->second.begin(), sh->second.end(), holder) != sh->second.end();
-}
-
-uint64_t FrameAllocator::SharedFrames(OwnerId holder) const {
-  uint64_t n = 0;
-  for (const auto& [idx, holders] : shares_) {
-    (void)idx;
-    n += static_cast<uint64_t>(
-        std::count(holders.begin(), holders.end(), holder));
-  }
-  return n;
 }
 
 }  // namespace cki

@@ -47,7 +47,8 @@ struct PhysSegment {
 
 class FrameAllocator {
  public:
-  // Manages physical range [base, base + pages * 4K).
+  // Manages physical range [base, base + pages * 4K). A base that is not
+  // page aligned throws FatalHostError.
   FrameAllocator(PhysMem& mem, uint64_t base, uint64_t pages);
 
   // Routes exhaustion and double-free reports through the machine's fault
@@ -74,8 +75,11 @@ class FrameAllocator {
 
   // Frames (singletons + segment pages) currently owned by `owner` —
   // the teardown leak check. Segment pages carved out by a CoW transfer
-  // count toward their new owner, not the segment's.
-  uint64_t OwnedFrames(OwnerId owner) const;
+  // count toward their new owner, not the segment's. O(1): a counter read.
+  uint64_t OwnedFrames(OwnerId owner) const {
+    const OwnerCounts* c = CountsOf(owner);
+    return c != nullptr ? c->singles + c->seg_pages : 0;
+  }
 
   // Owner of the frame containing `pa`; kHostOwner if never allocated.
   OwnerId OwnerOf(uint64_t pa) const;
@@ -99,8 +103,11 @@ class FrameAllocator {
   // (the PTP monitor's mapping check for clones).
   bool OwnedOrSharedBy(uint64_t pa, OwnerId holder) const;
 
-  // Number of frames `holder` holds only as a sharer (leak audit).
-  uint64_t SharedFrames(OwnerId holder) const;
+  // Number of frames `holder` holds only as a sharer (leak audit). O(1).
+  uint64_t SharedFrames(OwnerId holder) const {
+    const OwnerCounts* c = CountsOf(holder);
+    return c != nullptr ? c->shared : 0;
+  }
 
   uint64_t allocated_frames() const { return allocated_; }
   uint64_t total_frames() const { return total_pages_; }
@@ -111,9 +118,9 @@ class FrameAllocator {
   // (DESIGN.md §14): frames allocate bump-ordered from the range base, so
   // only the low nodes ever materialize even though the range covers
   // gigabytes. Direct indexing makes owner lookups O(1) pointer math and —
-  // more importantly — makes every sweep (ReclaimOwner, OwnedFrames)
-  // iterate in ascending frame order *by construction*, so free-list order
-  // can never depend on hash-map iteration order.
+  // more importantly — makes the kill sweep iterate in ascending frame
+  // order *by construction*, so free-list order can never depend on
+  // hash-map iteration order.
   static constexpr uint64_t kNodeShift = 12;  // frames per node = 4096
   static constexpr uint64_t kNodeFrames = 1ull << kNodeShift;
   // kHostOwner (0) is a real owner; the "no singleton record" sentinel
@@ -121,11 +128,36 @@ class FrameAllocator {
   static constexpr OwnerId kNoOwner = 0xFFFFFFFFu;
   struct OwnerNode {
     std::array<OwnerId, kNodeFrames> owner;
-    // Segment pages whose primacy was transferred away from the segment
-    // owner (excluded from the segment's sweep and leak count).
+    // Pages of a live segment whose primacy was transferred away from the
+    // segment owner (excluded from the segment's sweep and count). The bit
+    // stays set while the carved page sits on the free list or is
+    // reallocated; the segment's reclaim clears it.
     std::bitset<kNodeFrames> carved;
     OwnerNode() { owner.fill(kNoOwner); }
   };
+
+  // Per-owner accounting, kept current by every ownership change so the
+  // leak check and gauges never scan the frame table.
+  struct OwnerCounts {
+    uint64_t singles = 0;    // frames whose owner slot names this owner
+    uint64_t seg_pages = 0;  // uncarved pages of this owner's live segments
+    uint64_t shared = 0;     // share records naming this owner
+    // Nodes holding this owner's singletons lie within [lo_node, hi_node]
+    // (widened on every gain, reset by ReclaimOwner): bounds the kill sweep.
+    uint32_t lo_node = UINT32_MAX;
+    uint32_t hi_node = 0;
+  };
+  // Owner ids are dense (Machine::AllocOwnerId counts up from 1), so the
+  // counters live in a vector indexed by id. Reserved up front: growing it
+  // mid-run reshuffles the heap and shows up in peak RSS.
+  static constexpr size_t kReservedOwners = 64;
+
+  const OwnerCounts* CountsOf(OwnerId owner) const {
+    return owner < counts_.size() ? &counts_[owner] : nullptr;
+  }
+  OwnerCounts& Counts(OwnerId owner);
+  // Records that the owner slot of frame `idx` now names `owner`.
+  void AddSingle(OwnerId owner, uint64_t idx);
 
   // Local frame index (0-based within the managed range) for `pa`.
   uint64_t FrameIndex(uint64_t pa) const { return (pa - base_) >> kPageShift; }
@@ -136,14 +168,13 @@ class FrameAllocator {
   }
   OwnerNode& EnsureNode(uint64_t idx);
 
-  // Owner slot for local index `idx`; kNoOwner when absent.
-  OwnerId OwnerSlot(uint64_t idx) const {
-    const OwnerNode* node = NodeFor(idx);
-    return node != nullptr ? node->owner[idx & (kNodeFrames - 1)] : kNoOwner;
-  }
+  // The live segment containing `pa`, or nullptr (binary search: segments
+  // are bump-allocated, so `segments_` is sorted by base).
+  const std::pair<PhysSegment, OwnerId>* SegmentAt(uint64_t pa) const;
 
   // Moves primacy of frame `idx` to the first sharer, carving the page
-  // out of its segment when the primary was a segment owner.
+  // out of its segment when the primary was a segment owner. Throws
+  // FatalHostError when the frame has no sharer.
   void TransferPrimary(uint64_t idx);
 
   PhysMem& mem_;
@@ -152,11 +183,12 @@ class FrameAllocator {
   uint64_t bump_;  // next-never-allocated frame index
   std::vector<uint64_t> free_list_;
   std::vector<std::unique_ptr<OwnerNode>> nodes_;  // local idx -> owner
-  std::vector<std::pair<PhysSegment, OwnerId>> segments_;
+  std::vector<std::pair<PhysSegment, OwnerId>> segments_;  // sorted by base
   // local frame index -> sharers beyond the primary owner (insertion
   // order; the first entry inherits primacy on transfer). Sparse: only
   // CoW-cloned frames appear.
   std::unordered_map<uint64_t, std::vector<OwnerId>> shares_;
+  std::vector<OwnerCounts> counts_;  // indexed by OwnerId
   uint64_t allocated_ = 0;
   uint64_t double_frees_ = 0;
   FaultBus* bus_ = nullptr;

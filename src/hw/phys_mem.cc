@@ -1,5 +1,6 @@
 #include "src/hw/phys_mem.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -39,22 +40,41 @@ void PhysMem::InstallFrame(uint64_t pa) {
 }
 
 void PhysMem::InstallRange(uint64_t base, uint64_t pages) {
-  assert((base & (kPageSize - 1)) == 0 && "range must be page aligned");
+  if ((base & (kPageSize - 1)) != 0) {
+    throw FatalHostError("PhysMem: InstallRange base " + std::to_string(base) +
+                         " is not page aligned");
+  }
   if (pages == 0) {
     return;
   }
-  // O(1) regardless of range size: membership is resolved lazily by
-  // InstalledSlow and memoized into node bitmaps on first touch.
-  installed_ranges_.emplace_back(FrameIndex(base), FrameIndex(base) + pages - 1);
+  // Independent of the range's size: membership is resolved lazily by
+  // InstalledSlow and memoized into node bitmaps on first write. The new
+  // range absorbs every range it overlaps or abuts, which keeps
+  // installed_ranges_ sorted and disjoint with gaps between neighbours.
+  uint64_t first = FrameIndex(base);
+  uint64_t last = first + pages - 1;
+  auto lo = std::lower_bound(
+      installed_ranges_.begin(), installed_ranges_.end(), first,
+      [](const std::pair<uint64_t, uint64_t>& r, uint64_t f) { return r.second + 1 < f; });
+  auto hi = lo;
+  while (hi != installed_ranges_.end() && hi->first <= last + 1) {
+    first = std::min(first, hi->first);
+    last = std::max(last, hi->second);
+    ++hi;
+  }
+  if (lo == hi) {
+    installed_ranges_.insert(lo, {first, last});
+  } else {
+    *lo = {first, last};
+    installed_ranges_.erase(lo + 1, hi);
+  }
 }
 
 bool PhysMem::InstalledSlow(uint64_t frame_idx) const {
-  for (const auto& [first, last] : installed_ranges_) {
-    if (frame_idx >= first && frame_idx <= last) {
-      return true;
-    }
-  }
-  return false;
+  auto it = std::upper_bound(
+      installed_ranges_.begin(), installed_ranges_.end(), frame_idx,
+      [](uint64_t f, const std::pair<uint64_t, uint64_t>& r) { return f < r.first; });
+  return it != installed_ranges_.begin() && frame_idx <= std::prev(it)->second;
 }
 
 bool PhysMem::HasFrame(uint64_t pa) const {

@@ -36,8 +36,9 @@ class PhysMem {
   // Installs (and zeroes) the 4 KiB frame containing `pa`. Idempotent.
   void InstallFrame(uint64_t pa);
 
-  // Installs `pages` consecutive frames starting at page-aligned `base`.
-  // O(1): backing materializes on first write.
+  // Installs `pages` consecutive frames starting at page-aligned `base`
+  // (an unaligned base throws FatalHostError). Backing materializes on
+  // first write, so the call's cost does not depend on the range's size.
   void InstallRange(uint64_t base, uint64_t pages);
 
   // True if the frame containing `pa` has been installed.
@@ -117,7 +118,9 @@ class PhysMem {
 
   std::vector<std::unique_ptr<Node>> nodes_;  // direct index: frame_idx >> kNodeShift
   std::unordered_map<uint64_t, std::unique_ptr<Node>> overflow_;
-  std::vector<std::pair<uint64_t, uint64_t>> installed_ranges_;  // [first, last] frame index
+  // [first, last] frame index; sorted, disjoint and never abutting
+  // (InstallRange merges neighbours), so InstalledSlow binary-searches.
+  std::vector<std::pair<uint64_t, uint64_t>> installed_ranges_;
 
   // Bump arena for page backing. Chunks are value-initialized (zeroed);
   // pages are handed out once and recycled only via ZeroFrame.

@@ -127,14 +127,14 @@ class VirtNic : public NetPort, public NetDevice {
 
   struct FlowState {
     int peer = -1;                // switch port of the other end
-    std::deque<RxFrame> rx;       // pending frames, guest-bound
+    std::deque<RxFrame> rx{};     // pending frames, guest-bound
     uint64_t rx_flow_bytes = 0;   // per-flow byte accounting
     uint64_t tx_flow_bytes = 0;
   };
 
   struct Listener {
     int backlog = 0;
-    std::deque<int> pending;  // established flows awaiting Accept
+    std::deque<int> pending{};  // established flows awaiting Accept
   };
 
   void Kick();

@@ -38,7 +38,7 @@ class SpanProfiler {
     SimNanos total = 0;    // simulated ns including children
     SimNanos self = 0;     // simulated ns excluding children
     uint64_t count = 0;    // completed spans
-    std::vector<int> children;
+    std::vector<int> children{};
   };
 
   // Maps a phase name to a stable small id (interned on first use).

@@ -12,7 +12,8 @@ ContainerEngine::~ContainerEngine() {
   // Teardown leak check: frames still owned at destruction are reported
   // as a metric, never an abort (the machine reclaims them anyway).
   // Shared (clone) holdings count too — a destroyed clone that never ran
-  // its kill sweep would otherwise pin siblings' frames invisibly.
+  // its kill sweep would otherwise pin siblings' frames invisibly. Both
+  // reads are O(1) per-owner counters, so every teardown can afford it.
   uint64_t leaked =
       machine_.frames().OwnedFrames(id_) + machine_.frames().SharedFrames(id_);
   if (leaked > 0) {

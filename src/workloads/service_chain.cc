@@ -115,8 +115,7 @@ ChainResult RunServiceChain(ContainerEngine& proxy, ContainerEngine& backend,
       }
     }
     if (ctx.obs().enabled()) {
-      // Round-boundary SLO gauges: resident frames per container. Fed here
-      // (not per op) because OwnedFrames walks the frame table.
+      // Round-boundary SLO gauges: resident frames per container.
       SimNanos now = ctx.clock().now();
       FrameAllocator& frames = proxy.machine().frames();
       ctx.obs().SloSetGauge(proxy.id(), now, frames.OwnedFrames(proxy.id()));

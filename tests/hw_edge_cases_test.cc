@@ -4,6 +4,8 @@
 // rather than corrupt state silently.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/fault/fault_domain.h"
 #include "src/hw/ept.h"
 #include "src/hw/page_table.h"
@@ -132,6 +134,90 @@ TEST(HwContractTest, PhysicalExhaustionThrowsHostFatalWithoutBus) {
   alloc.AllocFrame(1);
   alloc.AllocFrame(1);
   EXPECT_THROW(alloc.AllocFrame(1), FatalHostError);
+}
+
+TEST(HwContractTest, UnalignedInstallRangeThrowsHostFatal) {
+  PhysMem mem;
+  EXPECT_THROW(mem.InstallRange(0x1000'0800, 4), FatalHostError);
+  EXPECT_FALSE(mem.HasFrame(0x1000'0000));
+}
+
+// --- lazily installed ranges: kept sorted and merged ------------------------
+
+class PhysMemRangeTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kBase = 0x2'0000'0000;
+  static uint64_t Pa(uint64_t frame) { return kBase + frame * kPageSize; }
+
+  // Frames [0, 40) must read as installed exactly where `want` says.
+  void ExpectInstalled(const std::vector<bool>& want) {
+    for (uint64_t f = 0; f < want.size(); ++f) {
+      EXPECT_EQ(mem_.HasFrame(Pa(f)), want[f]) << "frame " << f;
+      EXPECT_EQ(mem_.HasFrame(Pa(f) + kPageSize - 8), want[f]) << "frame " << f << " tail";
+      if (want[f]) {
+        EXPECT_EQ(mem_.ReadU64(Pa(f)), 0u);
+      } else {
+        EXPECT_THROW((void)mem_.ReadU64(Pa(f)), FatalHostError) << "gap frame " << f;
+      }
+    }
+  }
+
+  PhysMem mem_;
+};
+
+TEST_F(PhysMemRangeTest, OutOfOrderAbuttingAndOverlappingRanges) {
+  mem_.InstallRange(Pa(20), 5);  // [20, 24]
+  mem_.InstallRange(Pa(0), 4);   // [0, 3], before the first range
+  mem_.InstallRange(Pa(4), 2);   // [4, 5] abuts [0, 3]
+  mem_.InstallRange(Pa(10), 3);  // [10, 12]
+  mem_.InstallRange(Pa(11), 9);  // [11, 19] overlaps [10, 12], abuts [20, 24]
+  mem_.InstallRange(Pa(2), 1);   // inside [0, 5]
+  mem_.InstallRange(Pa(8), 3);   // [8, 10] extends [10, 24] downwards
+  std::vector<bool> want(40, false);
+  for (uint64_t f : {0, 1, 2, 3, 4, 5}) {
+    want[f] = true;
+  }
+  for (uint64_t f = 8; f <= 24; ++f) {
+    want[f] = true;
+  }
+  ExpectInstalled(want);
+}
+
+TEST_F(PhysMemRangeTest, RangeBridgingSeveralRangesMergesThem) {
+  mem_.InstallRange(Pa(30), 2);  // [30, 31]
+  mem_.InstallRange(Pa(0), 2);   // [0, 1]
+  mem_.InstallRange(Pa(6), 2);   // [6, 7]
+  mem_.InstallRange(Pa(3), 2);   // [3, 4]
+  mem_.InstallRange(Pa(1), 6);   // [1, 6] touches all three low ranges
+  std::vector<bool> want(40, false);
+  for (uint64_t f = 0; f <= 7; ++f) {
+    want[f] = true;
+  }
+  want[30] = want[31] = true;
+  ExpectInstalled(want);
+
+  mem_.InstallRange(Pa(8), 22);  // [8, 29] closes the last gap
+  for (uint64_t f = 8; f <= 29; ++f) {
+    want[f] = true;
+  }
+  ExpectInstalled(want);
+}
+
+TEST_F(PhysMemRangeTest, WritesInsideRangesMaterializeAndGapsStayFatal) {
+  mem_.InstallRange(Pa(8), 4);  // [8, 11]
+  mem_.InstallRange(Pa(2), 4);  // [2, 5]
+  mem_.InstallFrame(Pa(7));     // a single frame between the ranges
+  mem_.WriteU64(Pa(11) + 8, 0xAB);
+  mem_.WriteU64(Pa(2), 0xCD);
+  EXPECT_EQ(mem_.ReadU64(Pa(11) + 8), 0xABu);
+  EXPECT_EQ(mem_.ReadU64(Pa(2)), 0xCDu);
+  EXPECT_EQ(mem_.ReadU64(Pa(7)), 0u);
+  EXPECT_EQ(mem_.materialized_frames(), 2u);
+  EXPECT_THROW(mem_.WriteU64(Pa(6), 1), FatalHostError);
+  EXPECT_THROW((void)mem_.ReadU64(Pa(1)), FatalHostError);
+  EXPECT_THROW((void)mem_.ReadU64(Pa(12)), FatalHostError);
+  mem_.InstallRange(Pa(12), 0);  // an empty range installs nothing
+  EXPECT_FALSE(mem_.HasFrame(Pa(12)));
 }
 
 }  // namespace
