@@ -35,6 +35,10 @@ class BinaryRewriter {
   // Scans the code image at every byte offset for the wrpkrs byte pattern.
   ScanReport Scan(const std::vector<uint8_t>& image) const;
 
+  // Scan() as an always-on check, in every build type: throws
+  // FatalHostError naming the first stray wrpkrs offset.
+  void RequireClean(const std::vector<uint8_t>& image) const;
+
   // Rewrites non-gate occurrences in place (NOP fill), returning how many
   // sites were patched. Models the offline rewriting pass.
   size_t Rewrite(std::vector<uint8_t>& image) const;

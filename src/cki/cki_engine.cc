@@ -1,6 +1,5 @@
 #include "src/cki/cki_engine.h"
 
-#include <cassert>
 #include <string>
 
 #include "src/fault/fault_injector.h"
@@ -54,9 +53,7 @@ void CkiEngine::Boot() {
   for (size_t off : rewriter_.gate_offsets()) {
     EmitWrpkrs(guest_code_image_, off);
   }
-  ScanReport report = rewriter_.Scan(guest_code_image_);
-  assert(report.clean() && "stray wrpkrs in guest kernel image");
-  (void)report;
+  rewriter_.RequireClean(guest_code_image_);
 
   ContainerEngine::Boot();  // boots the kernel (monitor in boot mode)
   ksm_->monitor().SealKernelText();

@@ -124,6 +124,19 @@ void PhysMem::WriteSlow(uint64_t pa, uint64_t value) {
   MaterializePage(pa)[(pa & (kPageSize - 1)) >> 3] = value;
 }
 
+const uint64_t* PhysMem::FrameWords(uint64_t pa) const {
+  uint64_t idx = FrameIndex(pa);
+  const Node* node = NodeFor(idx);
+  if (node != nullptr) {
+    const Page* page = node->pages[idx & kNodeMask];
+    if (page != nullptr) {
+      return page->data();  // materializing a page also marks it installed
+    }
+  }
+  CheckInstalled(pa);
+  return nullptr;
+}
+
 void PhysMem::ZeroFrame(uint64_t pa) {
   uint64_t idx = FrameIndex(pa);
   Node* node = NodeFor(idx);

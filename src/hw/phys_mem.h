@@ -73,6 +73,12 @@ class PhysMem {
     WriteSlow(pa, value);
   }
 
+  // The 512 words of the installed frame containing `pa`, or nullptr for
+  // an installed frame never written (it reads as all zero). Installation
+  // is checked once for the whole frame; an uninstalled frame throws
+  // FatalHostError. Pages never move, so the pointer stays valid.
+  const uint64_t* FrameWords(uint64_t pa) const;
+
   // Zeroes an installed frame (clear_page()).
   void ZeroFrame(uint64_t pa);
 

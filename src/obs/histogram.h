@@ -37,6 +37,7 @@ class Histogram {
   static constexpr size_t kOverflowBucket =
       static_cast<size_t>(kMaxExp - kSubBits + 2) * kSubCount;
   static constexpr size_t kBucketCount = kOverflowBucket + 1;
+  using Buckets = std::array<uint64_t, kBucketCount>;
 
   // Maps a value to its bucket index.
   static constexpr size_t BucketIndex(uint64_t v) {
@@ -100,35 +101,47 @@ class Histogram {
   double Sum() const { return sum_; }
   double Mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
   uint64_t bucket(size_t idx) const { return buckets_[idx]; }
+  const Buckets& buckets() const { return buckets_; }
   uint64_t overflow_count() const { return buckets_[kOverflowBucket]; }
 
   // Quantile estimate (bucket midpoint, clamped to [min, max]), p in
   // [0, 100]. Error is bounded by the bucket width, not the sample count.
-  double Percentile(double p) const {
-    if (count_ == 0) {
+  double Percentile(double p) const { return PercentileOf(buckets_, count_, min_, max_, p); }
+
+  // The one quantile walk, over any bucket array whose `count` samples
+  // all lie in [min, max]: Percentile() and SloWindow's running window
+  // both answer through it. The walk starts at min's bucket (every
+  // bucket below it is empty).
+  static double PercentileOf(const Buckets& buckets, uint64_t count, uint64_t min, uint64_t max,
+                             double p) {
+    if (count == 0) {
       return 0.0;
     }
-    double want = std::ceil((p / 100.0) * static_cast<double>(count_));
-    uint64_t target = static_cast<uint64_t>(std::clamp(want, 1.0, static_cast<double>(count_)));
-    if (target == count_) {
-      return static_cast<double>(max_);  // the exact max is tracked
+    double want = std::ceil((p / 100.0) * static_cast<double>(count));
+    uint64_t target = static_cast<uint64_t>(std::clamp(want, 1.0, static_cast<double>(count)));
+    if (target == count) {
+      return static_cast<double>(max);  // the exact max is tracked
     }
     uint64_t cum = 0;
-    for (size_t i = 0; i < kBucketCount; ++i) {
-      cum += buckets_[i];
+    for (size_t i = BucketIndex(min); i < kBucketCount; ++i) {
+      cum += buckets[i];
       if (cum >= target) {
         if (i == kOverflowBucket) {
-          return static_cast<double>(max_);
+          return static_cast<double>(max);
         }
         uint64_t rep = BucketLowerBound(i) + BucketWidth(i) / 2;
-        return static_cast<double>(std::clamp(rep, min_, max_));
+        return static_cast<double>(std::clamp(rep, min, max));
       }
     }
-    return static_cast<double>(max_);  // unreachable: cum == count_ by the end
+    return static_cast<double>(max);  // unreachable: cum == count by the end
   }
 
+  // Touches only the occupied span [BucketIndex(min), BucketIndex(max)].
   void Clear() {
-    buckets_.fill(0);
+    if (count_ != 0) {
+      std::fill(buckets_.begin() + BucketIndex(min_), buckets_.begin() + BucketIndex(max_) + 1,
+                0);
+    }
     count_ = 0;
     min_ = 0;
     max_ = 0;
@@ -144,7 +157,7 @@ class Histogram {
   }
 
  private:
-  std::array<uint64_t, kBucketCount> buckets_{};
+  Buckets buckets_{};
   uint64_t count_ = 0;
   uint64_t min_ = 0;
   uint64_t max_ = 0;

@@ -2,17 +2,20 @@
 
 namespace cki {
 
+void Observability::AllocateStores(size_t ring_capacity) const {
+  recorder_ = std::make_unique<FlightRecorder>(ring_capacity);
+  profiler_ = std::make_unique<SpanProfiler>();
+  metrics_ = std::make_unique<MetricsRegistry>();
+  slos_ = std::make_unique<std::map<uint32_t, SloWindow>>();
+}
+
 void Observability::Enable(size_t ring_capacity) {
-  if (recorder_ == nullptr) {
-    recorder_ = std::make_unique<FlightRecorder>(ring_capacity);
-    profiler_ = std::make_unique<SpanProfiler>();
-    metrics_ = std::make_unique<MetricsRegistry>();
-    slos_ = std::make_unique<std::map<uint32_t, SloWindow>>();
-  }
+  EnsureStores(ring_capacity);
   enabled_ = true;
 }
 
 SloWindow& Observability::Slo(uint32_t owner) {
+  EnsureStores();
   auto it = slos_->find(owner);
   if (it == slos_->end()) {
     it = slos_->emplace(owner, SloWindow(slo_config_)).first;

@@ -4,8 +4,9 @@
 // windows (rolling time-series over simulated time).
 //
 // Disabled by default: the only cost on the simulation fast path is one
-// branch on `enabled()`. Enable() allocates the backing stores lazily, so
-// a SimContext that never observes pays nothing beyond a few pointers.
+// branch on `enabled()`. The backing stores are allocated lazily (by
+// Enable() or the first accessor call), so a SimContext that never
+// observes pays nothing beyond a few pointers.
 //
 // Sampling (DESIGN.md §11): set_sample_every(N) keeps recorder, span and
 // histogram writes for 1 in N *root* operations — the decision is latched
@@ -29,7 +30,8 @@
 // exclusively by the caller.
 // Ownership: the hub owns recorder/profiler/metrics/SLO windows;
 // references returned by the accessors are valid until Detach() or
-// destruction.
+// destruction. The accessors are total: on a never-enabled hub they
+// allocate empty stores (without enabling recording).
 #ifndef SRC_OBS_OBSERVABILITY_H_
 #define SRC_OBS_OBSERVABILITY_H_
 
@@ -62,12 +64,12 @@ class Observability {
   bool enabled() const { return enabled_; }
 
   // Turns recording on, allocating the stores on first use. Re-enabling
-  // keeps previously recorded data; `ring_capacity` applies only to the
-  // first Enable.
+  // keeps previously recorded data; `ring_capacity` applies only if no
+  // Enable or accessor call allocated the stores before.
   void Enable(size_t ring_capacity = FlightRecorder::kDefaultCapacity);
   // Stops recording but keeps the data for export.
   void Disable() { enabled_ = false; }
-  // Whether Enable() ever ran (the accessors below are valid only then).
+  // Whether the stores exist (Enable() ran, or an accessor allocated them).
   bool has_data() const { return recorder_ != nullptr; }
 
   // Current container attribution for recorded events (0: host kernel).
@@ -104,24 +106,24 @@ class Observability {
   // under a root scope are sampled.
   bool ShouldRecord() const { return scope_depth_ == 0 || current_sampled_; }
 
-  // Valid only after Enable() (checked in debug builds via the deref).
-  FlightRecorder& recorder() { return *recorder_; }
-  const FlightRecorder& recorder() const { return *recorder_; }
-  SpanProfiler& profiler() { return *profiler_; }
-  const SpanProfiler& profiler() const { return *profiler_; }
-  MetricsRegistry& metrics() { return *metrics_; }
-  const MetricsRegistry& metrics() const { return *metrics_; }
+  // Allocate empty stores on first access, so they never dereference null.
+  FlightRecorder& recorder() { return (EnsureStores(), *recorder_); }
+  const FlightRecorder& recorder() const { return (EnsureStores(), *recorder_); }
+  SpanProfiler& profiler() { return (EnsureStores(), *profiler_); }
+  const SpanProfiler& profiler() const { return (EnsureStores(), *profiler_); }
+  MetricsRegistry& metrics() { return (EnsureStores(), *metrics_); }
+  const MetricsRegistry& metrics() const { return (EnsureStores(), *metrics_); }
 
   // Self-accounted ring write (TraceScope span markers go through here).
   void RecordRing(const TraceRecord& r) {
     self_.ring_writes++;
-    recorder_->Record(r);
+    recorder().Record(r);
   }
 
   // Self-accounted histogram sample (LatencyScope / SyscallScope).
   void AddHistSample(std::string_view family, std::string_view item, SimNanos v) {
     self_.hist_samples++;
-    metrics_->Hist(family, item).Add(v);
+    metrics().Hist(family, item).Add(v);
   }
 
   // Fast-path hook called by SimContext for every architectural event.
@@ -190,10 +192,9 @@ class Observability {
     Slo(owner).SetGauge(now, value);
   }
 
-  // The window for `owner`, created on first use. Valid only when
-  // has_data().
+  // The window for `owner`, created on first use.
   SloWindow& Slo(uint32_t owner);
-  // All windows (nullptr before Enable); keyed by container id.
+  // All windows (nullptr until the stores exist); keyed by container id.
   const std::map<uint32_t, SloWindow>* slos() const { return slos_.get(); }
   const SloWindow* FindSlo(uint32_t owner) const;
 
@@ -221,6 +222,13 @@ class Observability {
   void WriteJson(std::ostream& os) const;
 
  private:
+  void EnsureStores(size_t ring_capacity = FlightRecorder::kDefaultCapacity) const {
+    if (recorder_ == nullptr) {
+      AllocateStores(ring_capacity);
+    }
+  }
+  void AllocateStores(size_t ring_capacity) const;
+
   bool enabled_ = false;
   uint32_t owner_ = 0;
   uint32_t sample_every_ = 1;
@@ -228,10 +236,12 @@ class Observability {
   bool current_sampled_ = true;
   ObsSelfStats self_;
   SloWindow::Config slo_config_;
-  std::unique_ptr<FlightRecorder> recorder_;
-  std::unique_ptr<SpanProfiler> profiler_;
-  std::unique_ptr<MetricsRegistry> metrics_;
-  std::unique_ptr<std::map<uint32_t, SloWindow>> slos_;
+  // Lazily allocated together (EnsureStores); mutable so the const
+  // accessors can allocate too.
+  mutable std::unique_ptr<FlightRecorder> recorder_;
+  mutable std::unique_ptr<SpanProfiler> profiler_;
+  mutable std::unique_ptr<MetricsRegistry> metrics_;
+  mutable std::unique_ptr<std::map<uint32_t, SloWindow>> slos_;
 };
 
 }  // namespace cki

@@ -9,6 +9,13 @@
 // writing into a slot whose epoch moved on clears it first, so a window
 // never reports samples older than `window_ns()`.
 //
+// Percentile queries read a running live histogram instead of merging
+// the ring per query (DESIGN.md §11). A bucket is live while its epoch is
+// inside the window ending at the latest write's epoch (the anchor). Live
+// buckets' latency counts are summed into live_; a bucket leaves the sum
+// when the anchor moves past it or when a write reuses its slot, which
+// includes a stale write (older than the window) landing on a live slot.
+//
 // Everything is keyed off the simulated clock — the window is as
 // deterministic as the simulation feeding it, and identical at any host
 // thread count.
@@ -18,6 +25,7 @@
 #ifndef SRC_OBS_SLO_WINDOW_H_
 #define SRC_OBS_SLO_WINDOW_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <vector>
@@ -44,6 +52,10 @@ class SloWindow {
     b.latency.Add(latency_ns);
     b.ops++;
     total_ops_++;
+    if (b.live) {
+      live_[Histogram::BucketIndex(latency_ns)]++;
+      live_count_++;
+    }
   }
 
   void IncFaults(SimNanos now, uint64_t n = 1) {
@@ -99,21 +111,14 @@ class SloWindow {
   }
 
   // Latency percentile over the live buckets (0 with no samples).
-  uint64_t Percentile(double p) const {
-    Histogram merged;
-    ForLive([&](const Bucket& b) { merged.Merge(b.latency); });
-    return merged.count() == 0 ? 0 : merged.Percentile(p);
-  }
+  uint64_t Percentile(double p) const { return static_cast<uint64_t>(LivePercentile(p)); }
 
   // {"window_ns":..,"ops":..,"ops_per_sec":..,"p50":..,"p99":..,
   //  "faults":..,"overloads":..,"gauge":..}
   void WriteJson(std::ostream& os) const {
-    Histogram merged;
-    ForLive([&](const Bucket& b) { merged.Merge(b.latency); });
     os << "{\"window_ns\":" << window_ns() << ",\"ops\":" << WindowOps()
-       << ",\"ops_per_sec\":" << OpsPerSec()
-       << ",\"p50\":" << (merged.count() ? merged.Percentile(50) : 0)
-       << ",\"p99\":" << (merged.count() ? merged.Percentile(99) : 0)
+       << ",\"ops_per_sec\":" << OpsPerSec() << ",\"p50\":" << LivePercentile(50)
+       << ",\"p99\":" << LivePercentile(99)
        << ",\"faults\":" << WindowFaults() << ",\"overloads\":" << WindowOverloads()
        << ",\"gauge\":" << gauge_ << "}";
   }
@@ -121,6 +126,7 @@ class SloWindow {
  private:
   struct Bucket {
     int64_t epoch = -1;  // now / bucket_ns when last written; -1: never
+    bool live = false;   // inside the window; its latencies are in live_
     Histogram latency;
     uint64_t ops = 0;
     uint64_t faults = 0;
@@ -137,42 +143,90 @@ class SloWindow {
     ring_.resize(config_.buckets);
   }
 
+  // Keeps `live` equal to "anchor_ - buckets < epoch <= anchor_" (a
+  // bucket's epoch never exceeds the anchor).
   Bucket& Touch(SimNanos now) {
+    const int64_t size = static_cast<int64_t>(ring_.size());
+    const int64_t epoch = static_cast<int64_t>(now / config_.bucket_ns);
     if (now > last_ns_) {
       last_ns_ = now;
+      if (epoch != anchor_) {
+        anchor_ = epoch;
+        for (Bucket& old : ring_) {
+          if (old.live && old.epoch <= anchor_ - size) {
+            Unlive(old);
+          }
+        }
+      }
     }
-    int64_t epoch = static_cast<int64_t>(now / config_.bucket_ns);
     Bucket& b = ring_[static_cast<size_t>(epoch) % ring_.size()];
     if (b.epoch != epoch) {
+      if (b.live) {
+        Unlive(b);
+      }
       b.latency.Clear();
       b.ops = 0;
       b.faults = 0;
       b.overloads = 0;
       b.epoch = epoch;
+      b.live = epoch > anchor_ - size;
     }
     return b;
   }
 
-  // Applies `fn` to every bucket still inside the window ending at
-  // last_ns_ (epochs within `buckets` of the anchor epoch).
+  // Takes a bucket's latencies out of the live sum (only the bucket's
+  // occupied span [BucketIndex(min), BucketIndex(max)]).
+  void Unlive(Bucket& b) {
+    const Histogram& h = b.latency;
+    if (h.count() != 0) {
+      const Histogram::Buckets& counts = h.buckets();
+      for (size_t i = Histogram::BucketIndex(h.min()); i <= Histogram::BucketIndex(h.max()); ++i) {
+        live_[i] -= counts[i];
+      }
+      live_count_ -= h.count();
+    }
+    b.live = false;
+  }
+
+  // The quantile walk over the live sum, bounded by the live buckets'
+  // min and max (0 with no live samples).
+  double LivePercentile(double p) const {
+    if (live_count_ == 0) {
+      return 0;
+    }
+    uint64_t lo = UINT64_MAX;
+    uint64_t hi = 0;
+    ForLive([&](const Bucket& b) {
+      if (b.latency.count() != 0) {
+        lo = std::min(lo, b.latency.min());
+        hi = std::max(hi, b.latency.max());
+      }
+    });
+    return Histogram::PercentileOf(live_, live_count_, lo, hi, p);
+  }
+
+  // Applies `fn` to every bucket still inside the window.
   template <typename Fn>
   void ForLive(Fn&& fn) const {
-    int64_t anchor = static_cast<int64_t>(last_ns_ / config_.bucket_ns);
     for (const Bucket& b : ring_) {
-      if (b.epoch >= 0 && b.epoch > anchor - static_cast<int64_t>(ring_.size()) &&
-          b.epoch <= anchor) {
+      if (b.live) {
         fn(b);
       }
     }
   }
 
+  // The scalars a write touches sit together; live_ (2.4 KB) comes last
+  // so it does not push them onto separate cache lines.
   Config config_;
   std::vector<Bucket> ring_;
   SimNanos last_ns_ = 0;
-  uint64_t gauge_ = 0;
+  int64_t anchor_ = 0;  // last_ns_ / bucket_ns: the window's newest epoch
   uint64_t total_ops_ = 0;
+  uint64_t live_count_ = 0;  // samples in live_
+  uint64_t gauge_ = 0;
   uint64_t total_faults_ = 0;
   uint64_t total_overloads_ = 0;
+  Histogram::Buckets live_{};  // sum of the live buckets' latency counts
 };
 
 }  // namespace cki

@@ -1,6 +1,6 @@
 #include "src/snap/snapshot.h"
 
-#include <array>
+#include <algorithm>
 
 #include "src/blkfs/blkfs.h"
 #include "src/fault/fault_injector.h"
@@ -85,16 +85,14 @@ SnapshotImage CheckpointContainer(ContainerEngine& engine, FaultInjector* inject
       fw.PutBool(false);
       return;
     }
-    std::array<uint64_t, kWordsPerPage> words;
-    bool nonzero = false;
-    for (size_t i = 0; i < kWordsPerPage; ++i) {
-      words[i] = mem.ReadU64(host + i * 8);
-      nonzero = nonzero || words[i] != 0;
-    }
+    // One installation check per frame; a never-written frame is all zero.
+    const uint64_t* words = mem.FrameWords(host);
+    bool nonzero = words != nullptr &&
+                   std::any_of(words, words + kWordsPerPage, [](uint64_t word) { return word != 0; });
     fw.PutBool(nonzero);
     if (nonzero) {
-      for (uint64_t word : words) {
-        fw.PutU64(word);
+      for (size_t i = 0; i < kWordsPerPage; ++i) {
+        fw.PutU64(words[i]);
       }
     }
   });

@@ -4,9 +4,14 @@
 // Each test mounts a concrete attack and asserts it is stopped.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/cki/cki_engine.h"
 #include "src/hw/pks.h"
 #include "src/runtime/runtime.h"
+#include "src/sim/seed_split.h"
 
 namespace cki {
 namespace {
@@ -365,8 +370,106 @@ TEST(BinaryRewriterTest, RewritePatchesViolations) {
 TEST(BinaryRewriterTest, BootImageOfEngineIsClean) {
   Testbed bed(RuntimeKind::kCki, Deployment::kBareMetal);
   auto& engine = static_cast<CkiEngine&>(bed.engine());
-  // The engine asserts this at boot; double-check the invariant holds.
+  // Boot checks this with RequireClean; double-check the invariant holds.
   EXPECT_GE(engine.rewriter().gate_offsets().size(), 4u);
+}
+
+// The byte-wise scan Scan() replaced: every offset compared in full.
+ScanReport BytewiseScan(const BinaryRewriter& rewriter, const std::vector<uint8_t>& image) {
+  ScanReport report;
+  for (size_t off = 0; off + kWrpkrsOpcodeLen <= image.size(); ++off) {
+    if (std::equal(kWrpkrsOpcode, kWrpkrsOpcode + kWrpkrsOpcodeLen, image.begin() + off)) {
+      if (rewriter.gate_offsets().count(off) != 0) {
+        report.gate_occurrences++;
+      } else {
+        report.violations.push_back(off);
+      }
+    }
+  }
+  return report;
+}
+
+TEST(BinaryRewriterTest, FindsPatternInTheLastThreeBytes) {
+  BinaryRewriter rewriter;
+  std::vector<uint8_t> image(100, 0x90);
+  EmitWrpkrs(image, image.size() - kWrpkrsOpcodeLen);
+  EXPECT_EQ(rewriter.Scan(image).violations, std::vector<size_t>{97});
+  image.pop_back();  // a truncated pattern at the end is no occurrence
+  EXPECT_TRUE(rewriter.Scan(image).clean());
+}
+
+TEST(BinaryRewriterTest, PartialPrefixBeforeARealHit) {
+  BinaryRewriter rewriter;
+  std::vector<uint8_t> image(64, 0x90);
+  image[10] = 0x0F;  // 0F 0F 01 EF: the first 0F starts no occurrence
+  EmitWrpkrs(image, 11);
+  image[30] = 0x0F;  // 0F 01 0F 01 EF
+  image[31] = 0x01;
+  EmitWrpkrs(image, 32);
+  EXPECT_EQ(rewriter.Scan(image).violations, (std::vector<size_t>{11, 32}));
+}
+
+TEST(BinaryRewriterTest, ImagesShorterThanThePatternAreClean) {
+  BinaryRewriter rewriter;
+  for (const std::vector<uint8_t>& image :
+       {std::vector<uint8_t>{}, std::vector<uint8_t>{0x0F}, std::vector<uint8_t>{0x0F, 0x01}}) {
+    ScanReport report = rewriter.Scan(image);
+    EXPECT_TRUE(report.clean());
+    EXPECT_EQ(report.gate_occurrences, 0u);
+  }
+}
+
+TEST(BinaryRewriterTest, BackToBackOccurrences) {
+  BinaryRewriter rewriter;
+  rewriter.RegisterGateOffset(3);
+  std::vector<uint8_t> image(12, 0x90);
+  for (size_t off = 0; off + kWrpkrsOpcodeLen <= image.size(); off += kWrpkrsOpcodeLen) {
+    EmitWrpkrs(image, off);
+  }
+  ScanReport report = rewriter.Scan(image);
+  EXPECT_EQ(report.violations, (std::vector<size_t>{0, 6, 9}));
+  EXPECT_EQ(report.gate_occurrences, 1u);
+}
+
+TEST(BinaryRewriterTest, MatchesBytewiseScanOnSeededRandomImages) {
+  // Bytes drawn mostly from the pattern's own alphabet, so prefixes,
+  // overlaps and hits are common at every alignment.
+  constexpr uint8_t kAlphabet[] = {0x0F, 0x01, 0xEF, 0x90};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    XorShift64Star rng(seed);
+    std::vector<uint8_t> image(rng.Next() % 5000);
+    for (uint8_t& byte : image) {
+      uint64_t r = rng.Next();
+      byte = (r & 7) == 0 ? static_cast<uint8_t>(r >> 8) : kAlphabet[(r >> 3) % 4];
+    }
+    BinaryRewriter rewriter;
+    ScanReport plain = BytewiseScan(rewriter, image);
+    for (size_t i = 0; i < plain.violations.size(); i += 3) {
+      rewriter.RegisterGateOffset(plain.violations[i]);  // every third hit is a gate
+    }
+    ScanReport want = BytewiseScan(rewriter, image);
+    ScanReport got = rewriter.Scan(image);
+    EXPECT_EQ(got.violations, want.violations);
+    EXPECT_EQ(got.gate_occurrences, want.gate_occurrences);
+    EXPECT_EQ(got.violations.size() + got.gate_occurrences, plain.violations.size());
+  }
+}
+
+TEST(BinaryRewriterTest, RequireCleanNamesTheFirstStrayOffset) {
+  BinaryRewriter rewriter;
+  rewriter.RegisterGateOffset(0x10);
+  std::vector<uint8_t> image(256, 0x90);
+  EmitWrpkrs(image, 0x10);
+  EXPECT_NO_THROW(rewriter.RequireClean(image));
+  EmitWrpkrs(image, 0x81);
+  EmitWrpkrs(image, 0x40);
+  try {
+    rewriter.RequireClean(image);
+    FAIL() << "a stray wrpkrs must be fatal in every build type";
+  } catch (const FatalHostError& e) {
+    EXPECT_NE(std::string(e.what()).find("offset 64"), std::string::npos) << e.what();
+  }
 }
 
 // --- per-vCPU top-level copies (sec 4.2/4.3) -------------------------------------

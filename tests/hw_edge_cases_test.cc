@@ -220,5 +220,38 @@ TEST_F(PhysMemRangeTest, WritesInsideRangesMaterializeAndGapsStayFatal) {
   EXPECT_FALSE(mem_.HasFrame(Pa(12)));
 }
 
+TEST_F(PhysMemRangeTest, FrameWordsReadsWholeFramesAndChecksInstallationOnce) {
+  mem_.InstallRange(Pa(2), 4);  // [2, 5]
+  mem_.InstallRange(Pa(8), 2);  // [8, 9]
+  mem_.InstallFrame(Pa(12));    // a single frame beyond the ranges
+  // Installed but never written: no backing, reads as all zero.
+  EXPECT_EQ(mem_.FrameWords(Pa(3)), nullptr);
+  EXPECT_EQ(mem_.FrameWords(Pa(12)), nullptr);
+  EXPECT_EQ(mem_.FrameWords(Pa(9) + kPageSize - 8), nullptr);
+  EXPECT_EQ(mem_.materialized_frames(), 0u);
+
+  // Written frames: the live words, from any address inside the frame.
+  mem_.WriteU64(Pa(4), 0x11);
+  mem_.WriteU64(Pa(4) + kPageSize - 8, 0x22);
+  mem_.WriteU64(Pa(12) + 64, 0x33);
+  const uint64_t* words = mem_.FrameWords(Pa(4) + 40);
+  ASSERT_NE(words, nullptr);
+  for (uint64_t i = 0; i < kPageSize / 8; ++i) {
+    EXPECT_EQ(words[i], mem_.ReadU64(Pa(4) + i * 8)) << "word " << i;
+  }
+  EXPECT_EQ(words[0], 0x11u);
+  EXPECT_EQ(words[kPageSize / 8 - 1], 0x22u);
+  ASSERT_NE(mem_.FrameWords(Pa(12)), nullptr);
+  EXPECT_EQ(mem_.FrameWords(Pa(12))[8], 0x33u);
+  mem_.WriteU64(Pa(4), 0x44);  // the pointer tracks later writes
+  EXPECT_EQ(words[0], 0x44u);
+
+  // Frames in a gap between installed ranges (and past them) are fatal.
+  EXPECT_THROW((void)mem_.FrameWords(Pa(6)), FatalHostError);
+  EXPECT_THROW((void)mem_.FrameWords(Pa(7)), FatalHostError);
+  EXPECT_THROW((void)mem_.FrameWords(Pa(1)), FatalHostError);
+  EXPECT_THROW((void)mem_.FrameWords(Pa(30)), FatalHostError);
+}
+
 }  // namespace
 }  // namespace cki

@@ -4,7 +4,10 @@
 // exporters (golden output + parse-back).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/obs/histogram.h"
 #include "src/obs/json_util.h"
@@ -13,6 +16,7 @@
 #include "src/obs/trace_export.h"
 #include "src/obs/trace_scope.h"
 #include "src/runtime/runtime.h"
+#include "src/sim/seed_split.h"
 #include "src/sim/stats.h"
 
 namespace cki {
@@ -164,6 +168,29 @@ TEST(PathEventTest, EveryEventNameRoundTrips) {
 }
 
 // ------------------------------------------------------------- Disabled path
+
+TEST(ObservabilityTest, AccessorsOnNeverEnabledHubAreEmptyNotFatal) {
+  {
+    Observability obs;
+    EXPECT_EQ(obs.recorder().size(), 0u);
+    EXPECT_TRUE(obs.profiler().nodes().empty());
+    EXPECT_EQ(obs.metrics().FindHist("syscall/getpid"), nullptr);
+    EXPECT_FALSE(obs.enabled());  // allocating the stores does not enable them
+    EXPECT_EQ(obs.Slo(7).WindowOps(), 0u);
+  }
+  {
+    const Observability obs;
+    EXPECT_EQ(obs.profiler().nodes().size(), 0u);
+    EXPECT_EQ(obs.metrics().FindHist("x"), nullptr);
+    EXPECT_EQ(obs.recorder().dropped(), 0u);
+    EXPECT_FALSE(obs.enabled());
+  }
+  // A never-enabled context still records nothing through the gate.
+  SimContext ctx;
+  ctx.ChargeWork(10);
+  EXPECT_TRUE(ctx.obs().profiler().nodes().empty());
+  EXPECT_FALSE(ctx.obs().enabled());
+}
 
 TEST(ObservabilityTest, DisabledContextRecordsNothing) {
   SimContext ctx;
@@ -478,6 +505,138 @@ TEST(ObservabilityTest, ExportSloMetricsDumpsEveryWindowAsGauges) {
 
 // -------------------------------------------------------------- SloWindow
 
+// The ring before it kept a running live histogram: raw samples per slot,
+// slots reset when a write lands on another epoch, and every query merges
+// the live slots into a fresh Histogram.
+class SloOracle {
+ public:
+  SloOracle(SimNanos bucket_ns, uint32_t buckets) : bucket_ns_(bucket_ns), ring_(buckets) {}
+
+  void ObserveLatency(SimNanos now, SimNanos latency) {
+    Slot& s = Touch(now);
+    s.samples.push_back(latency);
+    s.ops++;
+  }
+  void IncFaults(SimNanos now) { Touch(now).faults++; }
+  void SetGauge(SimNanos now) { Touch(now); }
+
+  double Percentile(double p) const {
+    Histogram merged;
+    uint64_t anchor = last_ns_ / bucket_ns_;
+    for (const Slot& s : ring_) {
+      if (Live(s, anchor)) {
+        for (SimNanos v : s.samples) {
+          merged.Add(v);
+        }
+      }
+    }
+    return merged.count() == 0 ? 0 : merged.Percentile(p);
+  }
+  uint64_t WindowOps() const { return Sum(&Slot::ops); }
+  uint64_t WindowFaults() const { return Sum(&Slot::faults); }
+
+ private:
+  struct Slot {
+    int64_t epoch = -1;
+    std::vector<SimNanos> samples;
+    uint64_t ops = 0;
+    uint64_t faults = 0;
+  };
+
+  bool Live(const Slot& s, uint64_t anchor) const {
+    int64_t a = static_cast<int64_t>(anchor);
+    return s.epoch >= 0 && s.epoch > a - static_cast<int64_t>(ring_.size()) && s.epoch <= a;
+  }
+  uint64_t Sum(uint64_t Slot::*field) const {
+    uint64_t n = 0;
+    for (const Slot& s : ring_) {
+      n += Live(s, last_ns_ / bucket_ns_) ? s.*field : 0;
+    }
+    return n;
+  }
+  Slot& Touch(SimNanos now) {
+    last_ns_ = std::max(last_ns_, now);
+    int64_t epoch = static_cast<int64_t>(now / bucket_ns_);
+    Slot& s = ring_[static_cast<size_t>(epoch) % ring_.size()];
+    if (s.epoch != epoch) {
+      s = Slot();
+      s.epoch = epoch;
+    }
+    return s;
+  }
+
+  SimNanos bucket_ns_;
+  std::vector<Slot> ring_;
+  SimNanos last_ns_ = 0;
+};
+
+TEST(SloWindowTest, RunningWindowMatchesMergeOracleUnderRandomWrites) {
+  struct Geometry {
+    SimNanos bucket_ns;
+    uint32_t buckets;
+  };
+  for (Geometry g : {Geometry{100, 4}, Geometry{1'000'000, 8}}) {
+    SCOPED_TRACE("bucket_ns " + std::to_string(g.bucket_ns));
+    SloWindow w(SloWindow::Config{.bucket_ns = g.bucket_ns, .buckets = g.buckets});
+    SloOracle oracle(g.bucket_ns, g.buckets);
+    const SimNanos window = g.bucket_ns * g.buckets;
+    XorShift64Star rng(g.bucket_ns);
+    for (int step = 0; step < 12'000; ++step) {
+      const SimNanos last = w.last_ns();
+      uint64_t r = rng.Next();
+      SimNanos now = 0;
+      switch (r % 8) {
+        case 0:  // backward within the window
+          now = last - std::min<SimNanos>(last, (r >> 8) % window);
+          break;
+        case 1:  // backward past the window: a stale write
+          now = last - std::min<SimNanos>(last, window + (r >> 8) % (2 * window));
+          break;
+        case 2:  // a long quiet gap
+          now = last + window * (2 + (r >> 8) % 20);
+          break;
+        default:  // forward by up to a bucket
+          now = last + (r >> 8) % g.bucket_ns;
+          break;
+      }
+      uint64_t op = rng.Next();
+      if (op % 4 == 0) {
+        w.IncFaults(now);
+        oracle.IncFaults(now);
+      } else if (op % 4 == 1) {
+        w.SetGauge(now, op >> 32);
+        oracle.SetGauge(now);
+      } else {
+        // Latencies from every octave, small exact buckets to overflow.
+        SimNanos latency = (op >> 16) >> ((op >> 2) % 64);
+        w.ObserveLatency(now, latency);
+        oracle.ObserveLatency(now, latency);
+      }
+      ASSERT_EQ(w.WindowOps(), oracle.WindowOps()) << "step " << step;
+      ASSERT_EQ(w.WindowFaults(), oracle.WindowFaults()) << "step " << step;
+      for (double p : {0.0, 1.0, 50.0, 97.0, 99.0, 100.0}) {
+        ASSERT_EQ(w.Percentile(p), static_cast<uint64_t>(oracle.Percentile(p)))
+            << "step " << step << " p" << p;
+      }
+    }
+  }
+}
+
+TEST(SloWindowTest, StaleWriteEvictingALiveSlotLeavesTheWindow) {
+  SloWindow w(SloWindow::Config{.bucket_ns = 100, .buckets = 4});
+  w.ObserveLatency(550, 1000);  // epoch 5, slot 1
+  w.ObserveLatency(650, 10);    // epoch 6: the window is epochs 3..6
+  EXPECT_EQ(w.Percentile(100), 1000u);
+  EXPECT_EQ(w.WindowOps(), 2u);
+  // Epoch 1 is older than the window but maps to slot 1: the write clears
+  // epoch 5's live bucket and lands outside the window.
+  w.ObserveLatency(150, 5000);
+  EXPECT_EQ(w.WindowOps(), 1u);
+  EXPECT_EQ(w.Percentile(100), 10u);
+  EXPECT_EQ(w.Percentile(0), 10u);
+  EXPECT_EQ(w.last_ns(), 650u);
+}
+
 TEST(SloWindowTest, BucketsExpireByEpoch) {
   SloWindow w(SloWindow::Config{.bucket_ns = 100, .buckets = 4});
   EXPECT_EQ(w.window_ns(), 400u);
@@ -575,6 +734,49 @@ TEST(TraceExportTest, FlowPointsRenderAsPerfettoFlowEvents) {
 }
 
 // -------------------------------------------------- Merge edge cases
+
+// Bucket arrays, extremes and a sweep of quantiles agree.
+void ExpectSameHistogram(const Histogram& got, const Histogram& want) {
+  EXPECT_EQ(got.buckets(), want.buckets());
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+  for (double p : {0.0, 1.0, 25.0, 50.0, 90.0, 97.0, 99.0, 100.0}) {
+    EXPECT_EQ(got.Percentile(p), want.Percentile(p)) << "p" << p;
+  }
+}
+
+TEST(HistogramTest, ClearThenReuseMatchesAFreshHistogram) {
+  Histogram reused;
+  for (uint64_t v : {3ull, 900ull, 1ull << 30, 1ull << 45, 77'777ull}) {
+    reused.Add(v);  // spans exact, mid, high and overflow buckets
+  }
+  reused.Clear();
+  ExpectSameHistogram(reused, Histogram{});
+  Histogram fresh;
+  for (uint64_t v : {5ull, 6ull, 12'345ull}) {
+    reused.Add(v);
+    fresh.Add(v);
+  }
+  ExpectSameHistogram(reused, fresh);
+}
+
+TEST(HistogramTest, PercentileWithOnlyHighBucketsMatchesAFreshHistogram) {
+  // Samples only in high buckets: the quantile walk starts at min's
+  // bucket, and a histogram cleared after low samples must not see them.
+  Histogram reused;
+  for (uint64_t v = 0; v < 64; ++v) {
+    reused.Add(v);
+  }
+  reused.Clear();
+  Histogram fresh;
+  for (uint64_t v : {1ull << 33, (1ull << 33) + 12'345, 1ull << 38, (1ull << 39) + 7,
+                     1ull << 41}) {
+    reused.Add(v);
+    fresh.Add(v);
+  }
+  ExpectSameHistogram(reused, fresh);
+}
 
 TEST(HistogramTest, MergeEmptyIntoEmptyStaysEmptyAndUsable) {
   Histogram a;

@@ -4,6 +4,7 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -150,6 +151,83 @@ TEST(Snapshot, ManualBitFlipAnywhereIsRejected) {
 
   // The untouched image still restores on the same machine afterwards.
   EXPECT_TRUE(RestoreContainer(other, img).ok);
+}
+
+// The checkpoint stream as built before frames were captured whole: every
+// page read word by word through ReadU64. Mirrors CheckpointContainer with
+// no injector, NIC or blkfs, including its simulated-time charges.
+SnapshotImage PerWordCheckpoint(ContainerEngine& engine) {
+  SimContext& ctx = engine.machine().ctx();
+  PhysMem& mem = engine.machine().mem();
+  ctx.ChargeWork(ctx.cost().snap_fixed);
+  SnapWriter w;
+  w.PutU64(kSnapMagic);
+  w.PutU32(kSnapVersion);
+  w.PutU8(static_cast<uint8_t>(engine.kind()));
+  SnapWriter cfg;
+  engine.SnapCaptureConfig(cfg);
+  w.PutBlob(cfg.bytes());
+  engine.kernel().SnapshotTo(w, [&](uint64_t pa, SnapWriter& fw) {
+    ctx.ChargeWork(ctx.cost().snap_page_capture);
+    uint64_t host = engine.HostFrameFor(pa);
+    if (host == kNoPage) {
+      fw.PutBool(false);
+      return;
+    }
+    std::array<uint64_t, kPageSize / 8> words;
+    bool nonzero = false;
+    for (size_t i = 0; i < words.size(); ++i) {
+      words[i] = mem.ReadU64(host + i * 8);
+      nonzero = nonzero || words[i] != 0;
+    }
+    fw.PutBool(nonzero);
+    if (nonzero) {
+      for (uint64_t word : words) {
+        fw.PutU64(word);
+      }
+    }
+  });
+  SnapWriter state;
+  engine.SnapCaptureState(state);
+  w.PutBlob(state.bytes());
+  for (int absent_section = 0; absent_section < 2; ++absent_section) {  // NIC, blkfs
+    SnapWriter none;
+    none.PutBool(false);
+    w.PutBlob(none.bytes());
+  }
+  w.PutU64(w.Hash());
+  return SnapshotImage{w.Take()};
+}
+
+TEST(Snapshot, WholeFrameCaptureMatchesPerWordStream) {
+  for (RuntimeKind kind : kAllKinds) {
+    SCOPED_TRACE(std::string(RuntimeKindName(kind)));
+    Testbed bed(kind, Deployment::kBareMetal);
+    Warm(bed.engine(), bed.machine(), kind != RuntimeKind::kLibOs);
+    // Three populated pages: written, written then zeroed, never touched.
+    uint64_t base = bed.engine().MmapAnon(3 * kPageSize, /*populate=*/true);
+    ASSERT_NE(base, 0u);
+    uint64_t written = MappedHostPa(bed.engine(), base);
+    uint64_t zeroed = MappedHostPa(bed.engine(), base + kPageSize);
+    uint64_t untouched = MappedHostPa(bed.engine(), base + 2 * kPageSize);
+    ASSERT_NE(written, kNoPage);
+    ASSERT_NE(zeroed, kNoPage);
+    ASSERT_NE(untouched, kNoPage);
+    PhysMem& mem = bed.machine().mem();
+    mem.WriteU64(written + kPageSize - 8, kMarker);
+    mem.WriteU64(zeroed + 128, kMarker);
+    mem.WriteU64(zeroed + 128, 0);
+    ASSERT_NE(mem.FrameWords(zeroed), nullptr);
+    if (kind == RuntimeKind::kCki) {
+      // Segment frames are installed lazily: never written, never backed.
+      EXPECT_EQ(mem.FrameWords(untouched), nullptr);
+    }
+
+    SnapshotImage whole = CheckpointContainer(bed.engine());
+    SnapshotImage per_word = PerWordCheckpoint(bed.engine());
+    ASSERT_TRUE(whole.Valid());
+    EXPECT_EQ(whole.bytes, per_word.bytes);
+  }
 }
 
 // --- copy-on-write clones ----------------------------------------------------
