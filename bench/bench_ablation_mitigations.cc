@@ -5,6 +5,7 @@
 // was paying for them.
 #include <iostream>
 
+#include "bench/bench_util.h"
 #include "src/metrics/report.h"
 #include "src/runtime/runtime.h"
 
@@ -32,7 +33,7 @@ SimNanos HypercallNs(Testbed& bed) {
   return total / kIters;
 }
 
-void Run() {
+void Run(BenchObsSink& sink) {
   CostModel mitigated = CostModel::Calibrated();
   CostModel bare = mitigated;
   bare.pti_overhead = 0;
@@ -53,7 +54,7 @@ void Run() {
   add("CKI syscall", RuntimeKind::kCki, false);
   add("PVM hypercall", RuntimeKind::kPvm, true);
   add("CKI hypercall", RuntimeKind::kCki, true);
-  table.Print(std::cout, 0);
+  sink.Print(table, 0);
   std::cout << "PVM pays PTI+IBRS on every syscall (two mitigated CR3 switches);\n"
                "CKI's syscall path has no switches at all, so mitigation settings\n"
                "cannot touch it — only its host-bound hypercalls see the delta.\n";
@@ -62,7 +63,6 @@ void Run() {
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_ablation_mitigations", cki::kNoMode, cki::Run);
 }

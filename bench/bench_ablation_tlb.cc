@@ -4,6 +4,7 @@
 // vs 2-stage (HVM) translation.
 #include <iostream>
 
+#include "bench/bench_util.h"
 #include "src/metrics/report.h"
 #include "src/runtime/runtime.h"
 #include "src/sim/rng.h"
@@ -12,7 +13,7 @@
 namespace cki {
 namespace {
 
-void Run() {
+void Run(BenchObsSink& sink) {
   const int sizes[] = {256, 512, 1024, 4096, 16384, 65536};  // pages
   std::vector<std::string> cols;
   for (int s : sizes) {
@@ -34,8 +35,8 @@ void Run() {
     cost.AddRow(std::string(RuntimeKindName(kind)), cost_row);
     miss.AddRow(std::string(RuntimeKindName(kind)), miss_row);
   }
-  cost.Print(std::cout, 1);
-  miss.Print(std::cout, 1);
+  sink.Print(cost, 1);
+  sink.Print(miss, 1);
   std::cout << "Expected: costs converge while the set fits the TLB; once misses\n"
                "dominate, HVM pays the 24-reference 2-D walk vs 4 references (1-D).\n";
 }
@@ -43,7 +44,6 @@ void Run() {
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_ablation_tlb", cki::kNoMode, cki::Run);
 }

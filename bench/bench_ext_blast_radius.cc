@@ -66,7 +66,7 @@ struct DisturbedResult {
 };
 
 DisturbedResult RunPoint(const BenchConfig& config, bool kill_victim,
-                         BenchObsSink* sink) {
+                         BenchObsSink& sink) {
   Machine machine(MachineConfigFor(config.kind, config.deployment));
   SimContext& ctx = machine.ctx();
   std::vector<std::unique_ptr<ContainerEngine>> engines;
@@ -103,10 +103,10 @@ DisturbedResult RunPoint(const BenchConfig& config, bool kill_victim,
   out.victim_frames_after = machine.frames().OwnedFrames(victim.id());
   out.containers_killed = machine.faults().containers_killed();
 
-  if (sink != nullptr && sink->active() && kill_victim) {
+  if (sink.active() && kill_victim) {
     machine.faults().ExportMetrics(ctx.obs().metrics());
-    sink->AddConfig(std::string(config.label) + "/kill",
-                    ctx.clock().now() - observed_from, ctx.obs());
+    sink.AddConfig(std::string(config.label) + "/kill",
+                   ctx.clock().now() - observed_from, ctx.obs());
   }
   return out;
 }
@@ -122,7 +122,7 @@ struct ChaosTrace {
   int survivors = 0;
 };
 
-ChaosTrace RunChaos(const BenchConfig& config, BenchObsSink* sink,
+ChaosTrace RunChaos(const BenchConfig& config, BenchObsSink& sink,
                     const std::string& sink_label) {
   Machine machine(MachineConfigFor(config.kind, config.deployment));
   SimContext& ctx = machine.ctx();
@@ -190,17 +190,17 @@ ChaosTrace RunChaos(const BenchConfig& config, BenchObsSink* sink,
   for (const auto& eng : engines) {
     trace.survivors += eng->alive() ? 1 : 0;
   }
-  if (sink != nullptr && sink->active() && !sink_label.empty()) {
+  if (sink.active() && !sink_label.empty()) {
     machine.faults().ExportMetrics(ctx.obs().metrics());
     vswitch.ExportMetrics(ctx.obs().metrics());
     ctx.obs().metrics().Inc("fault/faults_injected", injector.injected());
     ctx.obs().metrics().Inc("fault/injector_draws", injector.draws());
-    sink->AddConfig(sink_label, ctx.clock().now() - observed_from, ctx.obs());
+    sink.AddConfig(sink_label, ctx.clock().now() - observed_from, ctx.obs());
   }
   return trace;
 }
 
-bool Run(BenchObsSink* sink) {
+bool Run(BenchObsSink& sink) {
   ReportTable blast("Blast radius: kill 1 of " + std::to_string(kContainers) +
                         " containers mid-run (neighbor ns/round)",
                     "config",
@@ -208,7 +208,7 @@ bool Run(BenchObsSink* sink) {
                      "recover us", "victim frames"});
   bool ok = true;
   for (const BenchConfig& config : Configs()) {
-    DisturbedResult calm = RunPoint(config, /*kill_victim=*/false, nullptr);
+    DisturbedResult calm = RunPoint(config, /*kill_victim=*/false, sink);
     DisturbedResult kill = RunPoint(config, /*kill_victim=*/true, sink);
     blast.AddRow(config.label,
                  {calm.neighbor_ns.Percentile(50), calm.neighbor_ns.Percentile(99),
@@ -222,7 +222,7 @@ bool Run(BenchObsSink* sink) {
                 << kill.victim_frames_after << " (want 1 and 0)\n";
     }
   }
-  blast.Print(std::cout, 0);
+  sink.Print(blast, 0);
 
   ReportTable chaos("Chaos: deterministic injection, seed " +
                         std::to_string(kChaosSeed),
@@ -231,7 +231,7 @@ bool Run(BenchObsSink* sink) {
                      "replay ok"});
   for (const BenchConfig& config : Configs()) {
     ChaosTrace a = RunChaos(config, sink, std::string(config.label) + "/chaos");
-    ChaosTrace b = RunChaos(config, nullptr, "");
+    ChaosTrace b = RunChaos(config, sink, "");
     bool replay_ok = a.injector_hash == b.injector_hash &&
                      a.bus_hash == b.bus_hash && a.switch_hash == b.switch_hash;
     if (!replay_ok) {
@@ -245,7 +245,7 @@ bool Run(BenchObsSink* sink) {
                   static_cast<double>(a.killed),
                   static_cast<double>(a.survivors), replay_ok ? 1.0 : 0.0});
   }
-  chaos.Print(std::cout, 0);
+  sink.Print(chaos, 0);
   std::cout << (ok ? "Blast radius contained: neighbors' percentiles are "
                      "unchanged, the victim's frames are fully reclaimed, and "
                      "every fault trace replays bit-identically.\n"
@@ -258,8 +258,6 @@ bool Run(BenchObsSink* sink) {
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  cki::BenchObsSink sink(cki::BenchIo::Parse(argc, argv));
-  bool ok = cki::Run(&sink);
-  bool wrote = sink.Write("ext_blast_radius");
-  return ok && wrote ? 0 : 1;
+  return cki::BenchMain(argc, argv, "bench_ext_blast_radius", cki::kNoMode,
+                        [](cki::BenchObsSink& sink) { return cki::Run(sink) ? 0 : 1; });
 }

@@ -58,7 +58,7 @@ struct SweepPoint {
   SimNanos hop_sum() const { return client_ns + proxy_ns + backend_ns; }
 };
 
-SweepPoint RunPoint(const BenchConfig& config, int concurrency, BenchObsSink* sink) {
+SweepPoint RunPoint(const BenchConfig& config, int concurrency, BenchObsSink& sink) {
   Machine machine(MachineConfigFor(config.kind, config.deployment));
   std::unique_ptr<ContainerEngine> proxy = MakeEngine(machine, config.kind);
   proxy->Boot();
@@ -71,7 +71,7 @@ SweepPoint RunPoint(const BenchConfig& config, int concurrency, BenchObsSink* si
   SimNanos observed_from = ctx.clock().now();
   ctx.obs().Enable();
   ctx.obs().set_owner(0);
-  ctx.obs().set_sample_every(sink != nullptr ? sink->io().sample_every : 1);
+  ctx.obs().set_sample_every(sink.io().sample_every);
   ChainConfig chain{.concurrency = concurrency, .total_requests = kRequests};
   SweepPoint point;
   point.result = RunServiceChain(*proxy, *backend, chain);
@@ -99,14 +99,14 @@ SweepPoint RunPoint(const BenchConfig& config, int concurrency, BenchObsSink* si
   point.client_ns = SpanTotal(prof, "chain/client");
   point.proxy_ns = SpanTotal(prof, "chain/proxy");
   point.backend_ns = SpanTotal(prof, "chain/backend");
-  if (sink != nullptr && sink->active()) {
-    sink->AddConfig(std::string(config.label) + "/c" + std::to_string(concurrency),
-                    observed_ns, ctx.obs());
+  if (sink.active()) {
+    sink.AddConfig(std::string(config.label) + "/c" + std::to_string(concurrency),
+                   observed_ns, ctx.obs());
   }
   return point;
 }
 
-int Run(BenchObsSink* sink) {
+int Run(BenchObsSink& sink) {
   std::vector<BenchConfig> configs = Fig16Configs();
   configs.insert(configs.begin(),
                  BenchConfig{"RunC-BM", RuntimeKind::kRunc, Deployment::kBareMetal});
@@ -122,7 +122,7 @@ int Run(BenchObsSink* sink) {
                        std::to_string(kHopDetailConc) + " conc (ns/req)",
                    "config", {"client", "proxy", "backend", "hop sum", "measured"});
 
-  const uint32_t sample_every = sink != nullptr ? sink->io().sample_every : 1;
+  const uint32_t sample_every = sink.io().sample_every;
   bool spans_consistent = true;
   int trace_failures = 0;
   for (const BenchConfig& config : configs) {
@@ -175,11 +175,11 @@ int Run(BenchObsSink* sink) {
     events.AddRow(config.label, event_row);
   }
 
-  tput.Print(std::cout, 1);
+  sink.Print(tput, 1);
   std::cout << "\n";
-  events.Print(std::cout, 2);
+  sink.Print(events, 2);
   std::cout << "\n";
-  hops.Print(std::cout, 0);
+  sink.Print(hops, 0);
   std::cout << (spans_consistent
                     ? "\nPer-hop span totals sum to the measured time for every config.\n"
                     : "\nERROR: span totals diverge from measured time (see warnings).\n")
@@ -199,9 +199,9 @@ int Run(BenchObsSink* sink) {
 // trace id (the ambient net trace survives the CKISNAP1 stream). Both
 // machines export as separate trace process tracks; with --trace-out the
 // request renders as one Perfetto flow crossing them.
-int RunMigration(BenchObsSink* sink) {
+int RunMigration(BenchObsSink& sink) {
   constexpr uint16_t kService = 6379;
-  const uint32_t sample_every = sink != nullptr ? sink->io().sample_every : 1;
+  const uint32_t sample_every = sink.io().sample_every;
 
   // --- machine A: serve one traced request halfway, checkpoint ------------
   Machine a(MachineConfigFor(RuntimeKind::kCki, Deployment::kBareMetal));
@@ -233,8 +233,8 @@ int RunMigration(BenchObsSink* sink) {
   }
   SnapshotImage image = CheckpointContainer(*backend, nullptr, &nic_a);
   ctx_a.obs().Disable();
-  if (sink != nullptr && sink->active()) {
-    sink->AddConfig("migrate/shardA", ctx_a.clock().now(), ctx_a.obs());
+  if (sink.active()) {
+    sink.AddConfig("migrate/shardA", ctx_a.clock().now(), ctx_a.obs());
   }
 
   // --- machine B: restore, reconnect, answer ------------------------------
@@ -266,8 +266,8 @@ int RunMigration(BenchObsSink* sink) {
       .no = Sys::kSendto, .arg0 = static_cast<uint64_t>(fd_b.value), .arg1 = 256});
   nic_b.Flush();
   ctx_b.obs().Disable();
-  if (sink != nullptr && sink->active()) {
-    sink->AddConfig("migrate/shardB", ctx_b.clock().now(), ctx_b.obs());
+  if (sink.active()) {
+    sink.AddConfig("migrate/shardB", ctx_b.clock().now(), ctx_b.obs());
   }
 
   if (gen_b.last_response_trace() != minted) {
@@ -287,11 +287,10 @@ int RunMigration(BenchObsSink* sink) {
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  cki::BenchObsSink sink(cki::BenchIo::Parse(argc, argv));
-  int failures = cki::Run(&sink);
-  failures += cki::RunMigration(&sink);
-  if (!sink.Write("ext_cluster")) {
-    failures++;
-  }
-  return failures == 0 ? 0 : 1;
+  return cki::BenchMain(argc, argv, "bench_ext_cluster", cki::kNoMode,
+                        [](cki::BenchObsSink& sink) {
+                          int failures = cki::Run(sink);
+                          failures += cki::RunMigration(sink);
+                          return failures == 0 ? 0 : 1;
+                        });
 }

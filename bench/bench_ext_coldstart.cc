@@ -211,8 +211,8 @@ int RunMigrationCheck(uint64_t root_seed) {
   return 0;
 }
 
-int Run(const BenchIo& io, bool smoke) {
-  std::vector<uint32_t> scales = smoke ? std::vector<uint32_t>{1, 64}
+int Run(BenchObsSink& sink) {
+  std::vector<uint32_t> scales = sink.io().smoke ? std::vector<uint32_t>{1, 64}
                                        : std::vector<uint32_t>{1, 16, 64, 256};
   int rc = 0;
   double cki_speedup_at_64 = 0;
@@ -231,7 +231,7 @@ int Run(const BenchIo& io, bool smoke) {
         cki_speedup_at_64 = row.speedup;
       }
     }
-    table.Print(std::cout, 1);
+    sink.Print(table, 1);
     std::cout << "\n";
   }
 
@@ -245,7 +245,7 @@ int Run(const BenchIo& io, bool smoke) {
     std::cout << "speedup: OK (CKI clone " << cki_speedup_at_64 << "x faster than cold at N=64)\n";
   }
 
-  rc |= RunMigrationCheck(io.root_seed);
+  rc |= RunMigrationCheck(sink.io().root_seed);
   return rc;
 }
 
@@ -253,15 +253,5 @@ int Run(const BenchIo& io, bool smoke) {
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  // Strip --smoke before BenchIo sees (and rejects) it.
-  bool smoke = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  return cki::Run(cki::BenchIo::Parse(static_cast<int>(args.size()), args.data()), smoke);
+  return cki::BenchMain(argc, argv, "bench_ext_coldstart", cki::kSmokeMode, cki::Run);
 }

@@ -71,13 +71,13 @@ ShardResult RunShard(RuntimeKind kind, const ShardTask& task, bool observe) {
   return r;
 }
 
-void Run(const BenchIo& io) {
+void Run(BenchObsSink& sink) {
+  const BenchIo& io = sink.io();
   ClusterConfig cc;
   cc.shards = io.ShardsOr(kDefaultShards);
   cc.threads = io.ThreadsOr(1);
   cc.root_seed = io.root_seed;
   SimCluster cluster(cc);
-  BenchObsSink sink(io);
 
   ReportTable table("Container boot cost & density", "design",
                     {"containers", "boot us p50", "boot us p99", "host frames/container",
@@ -107,7 +107,7 @@ void Run(const BenchIo& io) {
                      shard.sim_ns, shard.obs);
     }
   }
-  table.Print(std::cout, 1);
+  sink.Print(table, 1);
   std::cout << "cluster: " << cc.shards << " shards x " << kContainersPerShard
             << " containers, " << cluster.config().threads
             << " threads, root-seed=" << cc.root_seed << "\n";
@@ -116,15 +116,11 @@ void Run(const BenchIo& io) {
                "segment (sized here for density) plus KSM pages; PVM adds shadow\n"
                "tables; HVM adds EPT tables. Boot cost is dominated by how the\n"
                "design prices the guest kernel's initialization PTE stores.\n";
-  if (sink.active()) {
-    sink.Write("bench_ext_density");
-  }
 }
 
 }  // namespace
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  cki::Run(cki::BenchIo::Parse(argc, argv));
-  return 0;
+  return cki::BenchMain(argc, argv, "bench_ext_density", cki::kNoMode, cki::Run);
 }

@@ -6,6 +6,7 @@
 // across container working-set sizes.
 #include <iostream>
 
+#include "bench/bench_util.h"
 #include "src/cki/cki_engine.h"
 #include "src/metrics/report.h"
 #include "src/runtime/runtime.h"
@@ -15,7 +16,7 @@ namespace {
 
 // Frames a container actually dirties for a given working set, vs frames
 // the host had to commit to it.
-void Run() {
+void Run(BenchObsSink& sink) {
   const int working_sets[] = {64, 256, 1024, 4096};  // pages actually used
   std::vector<std::string> cols;
   for (int ws : working_sets) {
@@ -66,8 +67,8 @@ void Run() {
     utilization.AddRow("CKI (4.5K-page segment)", util_row);
   }
 
-  committed.Print(std::cout, 0);
-  utilization.Print(std::cout, 1);
+  sink.Print(committed, 0);
+  sink.Print(utilization, 1);
   std::cout << "The paper's stated limitation, quantified: a mostly-idle CKI container\n"
                "holds its whole delegated segment, while demand-paged designs commit\n"
                "only the working set (plus table/shadow overhead).\n";
@@ -76,7 +77,6 @@ void Run() {
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_ext_fragmentation", cki::kNoMode, cki::Run);
 }

@@ -7,6 +7,7 @@
 //      mitigation).
 #include <iostream>
 
+#include "bench/bench_util.h"
 #include "src/cki/driver_sandbox.h"
 #include "src/cki/kernel_app.h"
 #include "src/metrics/report.h"
@@ -15,7 +16,7 @@
 namespace cki {
 namespace {
 
-void Run() {
+void Run(BenchObsSink& sink) {
   // --- 1: driver sandboxing ------------------------------------------------
   Machine machine(MachineConfigFor(RuntimeKind::kCki, Deployment::kBareMetal));
   DriverSandbox sandbox(machine);
@@ -38,7 +39,7 @@ void Run() {
   drivers.AddRow("microkernel IPC (ring 3)",
                  {static_cast<double>(sandbox.MicrokernelIpcCost()),
                   static_cast<double>(sandbox.MicrokernelIpcCost()) + 600});
-  drivers.Print(std::cout, 0);
+  sink.Print(drivers, 0);
   std::cout << "PKS keys used per address space: 1 shared + 1 kernel-private + "
             << sandbox.driver_count() << " driver domain(s)\n\n";
 
@@ -58,7 +59,7 @@ void Run() {
   syscalls.AddRow("classic syscall + PTI/IBRS",
                   {static_cast<double>(app.ClassicMitigatedSyscallCost())});
   syscalls.AddRow("in-kernel PKS-domain call (measured)", {measured});
-  syscalls.Print(std::cout, 0);
+  sink.Print(syscalls, 0);
   std::cout << "The PKS gate needs no PTI/IBRS because the app domain maps only its\n"
                "own data; against a mitigated kernel it wins ~2.3x on the null call.\n";
 }
@@ -66,7 +67,6 @@ void Run() {
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_ext_futurework", cki::kNoMode, cki::Run);
 }

@@ -26,7 +26,6 @@
 // sanitizer builds.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -112,7 +111,8 @@ ModeResult RunMode(Mode mode, uint64_t ops) {
   return r;
 }
 
-int Run(uint64_t ops, BenchObsSink* sink) {
+int Run(BenchObsSink& sink) {
+  const uint64_t ops = sink.io().smoke ? 20000 : 200000;
   ModeResult off = RunMode(Mode::kOff, ops);
   ModeResult full = RunMode(Mode::kFull, ops);
   ModeResult sampled = RunMode(Mode::kSampled, ops);
@@ -132,7 +132,7 @@ int Run(uint64_t ops, BenchObsSink* sink) {
                   static_cast<double>(r.self.hist_samples),
                   static_cast<double>(r.self.slo_samples)});
   }
-  table.Print(std::cout, 1);
+  sink.Print(table, 1);
 
   double full_overhead = full.wall_ns_per_op - off.wall_ns_per_op;
   double sampled_overhead = sampled.wall_ns_per_op - off.wall_ns_per_op;
@@ -176,12 +176,12 @@ int Run(uint64_t ops, BenchObsSink* sink) {
           "sampled-mode overhead must be a step-function below full rate");
   }
 
-  if (sink != nullptr && sink->active()) {
+  if (sink.active()) {
     // Export the full-rate run's metrics/self stats once more for files.
     Testbed bed(RuntimeKind::kRunc, Deployment::kBareMetal);
     SimContext& ctx = bed.ctx();
     ctx.obs().Enable();
-    ctx.obs().set_sample_every(sink->io().sample_every);
+    ctx.obs().set_sample_every(sink.io().sample_every);
     SimNanos sim = bed.Measure([&] {
       SyscallRequest req{.no = Sys::kGetpid};
       for (uint64_t i = 0; i < ops; ++i) {
@@ -190,7 +190,7 @@ int Run(uint64_t ops, BenchObsSink* sink) {
     });
     ctx.obs().Disable();
     ctx.obs().ExportSelfMetrics(ctx.obs().metrics());
-    sink->AddConfig("obs_overhead", sim, ctx.obs());
+    sink.AddConfig("obs_overhead", sim, ctx.obs());
   }
 
   std::cout << (failures == 0 ? "\nAll observability overhead invariants hold.\n"
@@ -202,20 +202,5 @@ int Run(uint64_t ops, BenchObsSink* sink) {
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  uint64_t ops = 200000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      ops = 20000;
-    }
-  }
-  // Strip --smoke before the shared parser (it rejects unknown flags).
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") != 0) {
-      args.push_back(argv[i]);
-    }
-  }
-  cki::BenchObsSink sink(cki::BenchIo::Parse(static_cast<int>(args.size()), args.data()));
-  int rc = cki::Run(ops, &sink);
-  return sink.Write("ext_obs_overhead") ? rc : 1;
+  return cki::BenchMain(argc, argv, "bench_ext_obs_overhead", cki::kSmokeMode, cki::Run);
 }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/orch_runs.h"
 #include "src/metrics/report.h"
 #include "src/orch/orchestrator.h"
 #include "src/orch/policy.h"
@@ -33,7 +34,8 @@
 namespace cki {
 namespace {
 
-OrchConfig BaseConfig(const BenchIo& io, bool smoke) {
+OrchConfig BaseConfig(const BenchIo& io) {
+  const bool smoke = io.smoke;
   OrchConfig cfg;
   cfg.shards = io.ShardsOr(smoke ? 4 : 6);
   cfg.threads = io.ThreadsOr(1);
@@ -70,57 +72,16 @@ ReactiveConfig ReactiveTuning() {
   return rc;
 }
 
-struct PolicyOutcome {
-  std::string label;
-  OrchStats stats;
-  uint64_t combined_hash = 0;
-};
-
-PolicyOutcome RunPolicy(const OrchConfig& cfg, const OrchPolicy& policy) {
-  Orchestrator orch(cfg, policy);
-  PolicyOutcome out;
-  out.label = std::string(policy.name());
-  out.stats = orch.Run();
-  out.combined_hash = orch.CombinedHash();
-  return out;
-}
-
-void WriteJsonOut(const std::string& path, const std::vector<PolicyOutcome>& outcomes,
-                  const OrchConfig& cfg) {
-  std::ofstream os(path);
-  os << "{\"bench\":\"bench_ext_orchestrator\",\"shards\":" << cfg.shards
-     << ",\"epochs\":" << cfg.epochs << ",\"epoch_ns\":" << cfg.epoch_ns
-     << ",\"slo_p99_ns\":" << cfg.slo_p99_ns << ",\"policies\":[";
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    const OrchStats& s = outcomes[i].stats;
-    os << (i > 0 ? "," : "") << "\n{\"policy\":";
-    WriteJsonString(os, outcomes[i].label);
-    os << ",\"requests\":" << s.requests << ",\"served\":" << s.served
-       << ",\"lost\":" << s.lost << ",\"slo_attainment\":" << s.SloAttainment()
-       << ",\"overall_p99_ns\":" << s.overall_p99_ns
-       << ",\"cold_starts_per_1k\":" << s.ColdStartPerK() << ",\"clones\":" << s.clones
-       << ",\"template_boots\":" << s.template_boots << ",\"migrations\":" << s.migrations
-       << ",\"migrations_aborted\":" << s.migrations_aborted << ",\"reaps\":" << s.reaps
-       << ",\"machine_kills\":" << s.machine_kills
-       << ",\"container_kills\":" << s.container_kills
-       << ",\"replacements\":" << s.replacements
-       << ",\"leaked_frames\":" << s.leaked_frames << ",\"combined_hash\":\"0x" << std::hex
-       << outcomes[i].combined_hash << std::dec << "\"}";
-  }
-  os << "\n]}\n";
-  os.flush();
-  std::cerr << (os ? "wrote " : "error: could not write ") << path << "\n";
-}
-
-int Run(const BenchIo& io, bool smoke) {
-  const OrchConfig cfg = BaseConfig(io, smoke);
+int Run(BenchObsSink& sink) {
+  const OrchConfig cfg = BaseConfig(sink.io());
   int rc = 0;
 
   StaticPolicy static_policy(cfg.initial_containers);
   ReactivePolicy reactive_policy(ReactiveTuning());
-  std::vector<PolicyOutcome> outcomes;
-  outcomes.push_back(RunPolicy(cfg, static_policy));
-  outcomes.push_back(RunPolicy(cfg, reactive_policy));
+  // Braced-list elements run in order: static first, as in the CSV.
+  const std::vector<OrchRun> outcomes = {
+      RunOrchestration(std::string(static_policy.name()), cfg, static_policy, sink),
+      RunOrchestration(std::string(reactive_policy.name()), cfg, reactive_policy, sink)};
 
   ReportTable table("Orchestrated fleet under diurnal+burst traffic with chaos, " +
                         std::to_string(cfg.shards) + " shards x " +
@@ -128,7 +89,7 @@ int Run(const BenchIo& io, bool smoke) {
                     "policy",
                     {"SLO att %", "p99 us", "cold/1k req", "clones", "migrations", "reaps",
                      "kills", "lost"});
-  for (const PolicyOutcome& out : outcomes) {
+  for (const OrchRun& out : outcomes) {
     const OrchStats& s = out.stats;
     table.AddRow(out.label,
                  {100.0 * s.SloAttainment(), static_cast<double>(s.overall_p99_ns) * 1e-3,
@@ -138,38 +99,20 @@ int Run(const BenchIo& io, bool smoke) {
                   static_cast<double>(s.lost)},
                  /*weight=*/s.requests > 0 ? s.requests : 1);
   }
-  table.Print(std::cout, 2);
+  sink.Print(table, 2);
 
   // --- hard self-checks -----------------------------------------------------
 
   // 1. Control-plane determinism: the combined cluster+control hash of
   //    the reactive configuration is bit-identical at any thread count.
-  std::cout << "determinism: reactive combined hash across --threads {1,2,8}:";
-  uint64_t want_hash = 0;
-  bool hash_ok = true;
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    OrchConfig tcfg = cfg;
-    tcfg.threads = threads;
-    Orchestrator orch(tcfg, reactive_policy);
-    orch.Run();
-    uint64_t h = orch.CombinedHash();
-    std::cout << " 0x" << std::hex << h << std::dec;
-    if (threads == 1) {
-      want_hash = h;
-    } else if (h != want_hash) {
-      hash_ok = false;
-    }
-  }
-  std::cout << "\n";
-  if (!hash_ok) {
-    std::cout << "FAIL: cluster+control trace hash diverged across thread counts\n";
+  if (!CheckThreadInvariant("reactive combined", {1, 2, 8}, [&](uint32_t threads) {
+        return OrchHashAt(cfg, reactive_policy, threads);
+      })) {
     rc = 1;
-  } else {
-    std::cout << "determinism: OK (bit-identical at 1, 2 and 8 threads)\n";
   }
 
   // 2. Chaos struck and every victim was re-placed without leaking.
-  for (const PolicyOutcome& out : outcomes) {
+  for (const OrchRun& out : outcomes) {
     const OrchStats& s = out.stats;
     if (s.machine_kills == 0 || s.container_kills == 0) {
       std::cout << "FAIL: " << out.label << " saw no chaos (machine_kills="
@@ -209,21 +152,7 @@ int Run(const BenchIo& io, bool smoke) {
               << " reaps, 0 leaked frames)\n";
   }
 
-  if (!io.json_out.empty()) {
-    WriteJsonOut(io.json_out, outcomes, cfg);
-  }
-  if (!io.metrics_csv.empty()) {
-    std::ofstream os(io.metrics_csv);
-    MetricsRegistry::WriteCsvHeader(os);
-    for (const OrchPolicy* p :
-         std::initializer_list<const OrchPolicy*>{&static_policy, &reactive_policy}) {
-      Orchestrator orch(cfg, *p);
-      orch.Run();
-      orch.metrics().WriteCsvRows(os, p->name());
-    }
-    os.flush();
-    std::cerr << (os ? "wrote " : "error: could not write ") << io.metrics_csv << "\n";
-  }
+  AddOrchRunsJson(sink, cfg, outcomes);
   return rc;
 }
 
@@ -231,15 +160,5 @@ int Run(const BenchIo& io, bool smoke) {
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  // Strip --smoke before BenchIo sees (and rejects) it.
-  bool smoke = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  return cki::Run(cki::BenchIo::Parse(static_cast<int>(args.size()), args.data()), smoke);
+  return cki::BenchMain(argc, argv, "bench_ext_orchestrator", cki::kSmokeMode, cki::Run);
 }

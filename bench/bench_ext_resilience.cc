@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/orch_runs.h"
 #include "src/fault/fault_domain.h"
 #include "src/metrics/report.h"
 #include "src/orch/orchestrator.h"
@@ -90,7 +91,8 @@ bool ParseChaosKinds(std::string_view list, GrayKinds* kinds) {
   return true;
 }
 
-OrchConfig BaseConfig(const BenchIo& io, bool smoke, const GrayKinds& kinds) {
+OrchConfig BaseConfig(const BenchIo& io, const GrayKinds& kinds) {
+  const bool smoke = io.smoke;
   OrchConfig cfg;
   cfg.shards = io.ShardsOr(smoke ? 4 : 6);
   cfg.threads = io.ThreadsOr(1);
@@ -134,62 +136,31 @@ ReactiveConfig ReactiveTuning(bool gray_aware) {
   return rc;
 }
 
-struct ArmOutcome {
-  std::string label;
-  OrchStats stats;
-  uint64_t combined_hash = 0;
-};
-
-ArmOutcome RunArm(const std::string& label, const OrchConfig& cfg, const OrchPolicy& policy) {
-  Orchestrator orch(cfg, policy);
-  ArmOutcome out;
-  out.label = label;
-  out.stats = orch.Run();
-  out.combined_hash = orch.CombinedHash();
-  return out;
-}
-
-void WriteJsonOut(const std::string& path, const std::vector<ArmOutcome>& outcomes,
-                  const OrchConfig& cfg) {
-  std::ofstream os(path);
-  os << "{\"bench\":\"bench_ext_resilience\",\"shards\":" << cfg.shards
-     << ",\"epochs\":" << cfg.epochs << ",\"epoch_ns\":" << cfg.epoch_ns
-     << ",\"slo_p99_ns\":" << cfg.slo_p99_ns
-     << ",\"deadline_ns\":" << cfg.resil.deadline_ns << ",\"arms\":[";
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    const OrchStats& s = outcomes[i].stats;
-    os << (i > 0 ? "," : "") << "\n{\"arm\":";
-    WriteJsonString(os, outcomes[i].label);
-    os << ",\"requests\":" << s.requests << ",\"served\":" << s.served
-       << ",\"lost\":" << s.lost << ",\"slo_attainment\":" << s.SloAttainment()
-       << ",\"overall_p99_ns\":" << s.overall_p99_ns
-       << ",\"gray_episodes\":" << s.gray_episodes << ",\"blackholed\":" << s.blackholed
-       << ",\"retries\":" << s.retries << ",\"retries_denied\":" << s.retries_denied
-       << ",\"hedges\":" << s.hedges << ",\"hedge_wins\":" << s.hedge_wins
-       << ",\"hedges_cancelled\":" << s.hedges_cancelled << ",\"sheds\":" << s.sheds
-       << ",\"deadline_misses\":" << s.deadline_misses << ",\"drains\":" << s.drains
-       << ",\"probes\":" << s.probes << ",\"breaker_opens\":" << s.breaker_opens
-       << ",\"breaker_short_circuits\":" << s.breaker_short_circuits
-       << ",\"leaked_frames\":" << s.leaked_frames << ",\"combined_hash\":\"0x" << std::hex
-       << outcomes[i].combined_hash << std::dec << "\"}";
+int Run(BenchObsSink& sink) {
+  // No --chaos-kinds arms all four gray kinds.
+  GrayKinds kinds{true, true, true, true};
+  if (!sink.io().chaos_kinds.empty()) {
+    kinds = GrayKinds{};
+    if (!ParseChaosKinds(sink.io().chaos_kinds, &kinds)) {
+      return kBenchUsageError;
+    }
+    if (!kinds.latency && !kinds.throttle && !kinds.blackhole && !kinds.jitter) {
+      std::cerr << "error: --chaos-kinds armed no gray fault kinds\n";
+      return kBenchUsageError;
+    }
   }
-  os << "\n]}\n";
-  os.flush();
-  std::cerr << (os ? "wrote " : "error: could not write ") << path << "\n";
-}
-
-int Run(const BenchIo& io, bool smoke, const GrayKinds& kinds) {
-  OrchConfig off_cfg = BaseConfig(io, smoke, kinds);
+  OrchConfig off_cfg = BaseConfig(sink.io(), kinds);
   off_cfg.resil.enabled = false;
-  OrchConfig on_cfg = BaseConfig(io, smoke, kinds);
+  OrchConfig on_cfg = BaseConfig(sink.io(), kinds);
   on_cfg.resil.enabled = true;
   int rc = 0;
 
   ReactivePolicy blind_policy(ReactiveTuning(/*gray_aware=*/false));
   ReactivePolicy aware_policy(ReactiveTuning(/*gray_aware=*/true));
-  std::vector<ArmOutcome> outcomes;
-  outcomes.push_back(RunArm("resilience-off", off_cfg, blind_policy));
-  outcomes.push_back(RunArm("resilience-on", on_cfg, aware_policy));
+  // Braced-list elements run in order: off first, as in the CSV.
+  const std::vector<OrchRun> outcomes = {
+      RunOrchestration("resilience-off", off_cfg, blind_policy, sink),
+      RunOrchestration("resilience-on", on_cfg, aware_policy, sink)};
   const OrchStats& off = outcomes[0].stats;
   const OrchStats& on = outcomes[1].stats;
 
@@ -199,7 +170,7 @@ int Run(const BenchIo& io, bool smoke, const GrayKinds& kinds) {
                     "arm",
                     {"SLO att %", "p99 us", "lost", "blackholed", "retries", "hedges",
                      "sheds", "drains"});
-  for (const ArmOutcome& out : outcomes) {
+  for (const OrchRun& out : outcomes) {
     const OrchStats& s = out.stats;
     table.AddRow(out.label,
                  {100.0 * s.SloAttainment(), static_cast<double>(s.overall_p99_ns) * 1e-3,
@@ -208,7 +179,7 @@ int Run(const BenchIo& io, bool smoke, const GrayKinds& kinds) {
                   static_cast<double>(s.sheds), static_cast<double>(s.drains)},
                  /*weight=*/s.requests > 0 ? s.requests : 1);
   }
-  table.Print(std::cout, 2);
+  sink.Print(table, 2);
 
   // --- hard self-checks -----------------------------------------------------
 
@@ -243,28 +214,10 @@ int Run(const BenchIo& io, bool smoke, const GrayKinds& kinds) {
   // 2. Determinism: gray episodes, timeouts, hedges, breaker state and
   //    drains are all functions of simulated time — the resilience-on
   //    hash must be bit-identical at any thread count.
-  std::cout << "determinism: resilience-on combined hash across --threads {1,2,8}:";
-  uint64_t want_hash = 0;
-  bool hash_ok = true;
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    OrchConfig tcfg = on_cfg;
-    tcfg.threads = threads;
-    Orchestrator orch(tcfg, aware_policy);
-    orch.Run();
-    uint64_t h = orch.CombinedHash();
-    std::cout << " 0x" << std::hex << h << std::dec;
-    if (threads == 1) {
-      want_hash = h;
-    } else if (h != want_hash) {
-      hash_ok = false;
-    }
-  }
-  std::cout << "\n";
-  if (!hash_ok) {
-    std::cout << "FAIL: resilience trace hash diverged across thread counts\n";
+  if (!CheckThreadInvariant("resilience-on combined", {1, 2, 8}, [&](uint32_t threads) {
+        return OrchHashAt(on_cfg, aware_policy, threads);
+      })) {
     rc = 1;
-  } else {
-    std::cout << "determinism: OK (bit-identical at 1, 2 and 8 threads)\n";
   }
 
   // 3. No retry storm: the token bucket bounds total retry volume even
@@ -288,7 +241,7 @@ int Run(const BenchIo& io, bool smoke, const GrayKinds& kinds) {
   }
 
   // 4. The chaos was real and every defense engaged.
-  for (const ArmOutcome& out : outcomes) {
+  for (const OrchRun& out : outcomes) {
     const OrchStats& s = out.stats;
     if (s.gray_episodes == 0 || (kinds.blackhole && s.blackholed == 0)) {
       std::cout << "FAIL: " << out.label << " saw no gray chaos (episodes="
@@ -323,25 +276,7 @@ int Run(const BenchIo& io, bool smoke, const GrayKinds& kinds) {
               << on.drains << " drains, " << on.breaker_opens << " breaker opens)\n";
   }
 
-  if (!io.json_out.empty()) {
-    WriteJsonOut(io.json_out, outcomes, on_cfg);
-  }
-  if (!io.metrics_csv.empty()) {
-    std::ofstream os(io.metrics_csv);
-    MetricsRegistry::WriteCsvHeader(os);
-    {
-      Orchestrator orch(off_cfg, blind_policy);
-      orch.Run();
-      orch.metrics().WriteCsvRows(os, "resilience-off");
-    }
-    {
-      Orchestrator orch(on_cfg, aware_policy);
-      orch.Run();
-      orch.metrics().WriteCsvRows(os, "resilience-on");
-    }
-    os.flush();
-    std::cerr << (os ? "wrote " : "error: could not write ") << io.metrics_csv << "\n";
-  }
+  AddOrchRunsJson(sink, on_cfg, outcomes);
   return rc;
 }
 
@@ -349,34 +284,6 @@ int Run(const BenchIo& io, bool smoke, const GrayKinds& kinds) {
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  // Strip --smoke and --chaos-kinds before BenchIo sees (and rejects) them.
-  bool smoke = false;
-  std::string chaos_kinds;
-  bool kinds_given = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--chaos-kinds=", 0) == 0) {
-      chaos_kinds = arg.substr(std::string_view("--chaos-kinds=").size());
-      kinds_given = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  cki::GrayKinds kinds;
-  if (kinds_given) {
-    if (!cki::ParseChaosKinds(chaos_kinds, &kinds)) {
-      return 2;
-    }
-    if (!kinds.latency && !kinds.throttle && !kinds.blackhole && !kinds.jitter) {
-      std::cerr << "error: --chaos-kinds armed no gray fault kinds\n";
-      return 2;
-    }
-  } else {
-    kinds = cki::GrayKinds{true, true, true, true};
-  }
-  return cki::Run(cki::BenchIo::Parse(static_cast<int>(args.size()), args.data()), smoke,
-                  kinds);
+  return cki::BenchMain(argc, argv, "bench_ext_resilience", cki::kSmokeMode | cki::kChaosKindsMode,
+                        cki::Run);
 }

@@ -1,9 +1,11 @@
-// Raw simulator speed gate (ROADMAP item 4, DESIGN.md §14).
+// Raw simulator speed and scale-out gate (DESIGN.md §9, §14).
 //
 // Runs the full Figure 13 sweep (55 independent simulated machines) at
-// --threads 1, 2 and 8 and reports wall clock, simulated ops/sec (trace
-// events retired per wall second) and containers per wall second. Speedups
-// are only real if results never move, so the bench hard-fails (exit 1) if
+// 1, 2, 4, 8 and 16 worker threads (capped by --threads) and reports wall
+// clock, speedup over one thread at fixed work, simulated ops/sec (trace
+// events retired per wall second) and containers per wall second.
+// Speedups are only real if results never move, so the bench hard-fails
+// (exit 1) if
 //
 //  * the merged determinism hash differs across any two thread counts, or
 //  * the hash drifts from the pre-refactor golden pinned below.
@@ -12,12 +14,14 @@
 // legitimately changes — never because a host-side data structure got
 // faster. A perf refactor that moves this hash is a broken refactor
 // (DESIGN.md §14 explains how to prove a change hash-neutral).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <string_view>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -71,102 +75,79 @@ SpeedRun RunSweep(const std::vector<Fig13Cell>& cells, uint32_t threads, uint64_
   return run;
 }
 
-int Run(const BenchIo& io, bool smoke) {
+int Run(BenchObsSink& sink) {
+  const BenchIo& io = sink.io();
   const std::vector<Fig13Cell> cells = Fig13CellList();
-  const uint32_t thread_counts[] = {1, 2, 8};
+  std::vector<uint32_t> thread_counts;
+  for (uint32_t t = 1; t <= 16 && t <= io.ThreadsOr(16); t *= 2) {
+    thread_counts.push_back(t);
+  }
   // Timing noise: keep the best (fastest) wall clock of `reps` runs per
   // thread count; hashes are checked on every rep.
-  const int reps = smoke ? 1 : 3;
+  const int reps = io.smoke ? 1 : 3;
 
   std::vector<SpeedRun> runs;
-  bool hash_ok = true;
-  for (uint32_t threads : thread_counts) {
-    SpeedRun best;
-    for (int rep = 0; rep < reps; ++rep) {
-      SpeedRun r = RunSweep(cells, threads, io.root_seed);
-      if (rep == 0 || r.wall_ms < best.wall_ms) {
-        best = r;
-      }
-      if (r.hash != kGoldenHash) {
-        hash_ok = false;
-      }
-    }
-    runs.push_back(best);
-  }
+  bool golden_ok = true;
+  const bool invariant =
+      CheckThreadInvariant("fig13 sweep", thread_counts, [&](uint32_t threads) {
+        SpeedRun best;
+        for (int rep = 0; rep < reps; ++rep) {
+          SpeedRun r = RunSweep(cells, threads, io.root_seed);
+          if (rep == 0 || r.wall_ms < best.wall_ms) {
+            best = r;
+          }
+          golden_ok &= r.hash == kGoldenHash;
+        }
+        runs.push_back(best);
+        return best.hash;
+      });
 
   ReportTable table("bench_ext_simspeed: fig13 sweep raw speed", "threads",
-                    {"wall_ms", "Mops/s", "cells/s", "sim_s_per_wall_s"});
-  for (const SpeedRun& r : runs) {
-    table.AddRow(std::to_string(r.threads),
-                 {r.wall_ms, r.MopsPerSec(), r.CellsPerSec(), r.SimPerWall()});
-  }
-  table.Print(std::cout, 2);
-
+                    {"wall_ms", "speedup", "Mops/s", "cells/s", "sim_s_per_wall_s"});
   double peak_mops = 0;
-  for (const SpeedRun& r : runs) {
+  std::ostringstream json;
+  json << "[";
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const SpeedRun& r = runs[i];
+    table.AddRow(std::to_string(r.threads),
+                 {r.wall_ms, r.wall_ms > 0 ? runs[0].wall_ms / r.wall_ms : 0, r.MopsPerSec(),
+                  r.CellsPerSec(), r.SimPerWall()});
     peak_mops = std::max(peak_mops, r.MopsPerSec());
-  }
-  std::cout << "cells: " << cells.size() << ", simulated ops: "
-            << static_cast<uint64_t>(runs[0].events) << ", peak "
-            << peak_mops << " Mops/s\n";
-  for (const SpeedRun& r : runs) {
-    std::cout << "determinism-hash[threads=" << r.threads << "]: 0x" << std::hex << r.hash
-              << std::dec << "\n";
-  }
-
-  if (!io.json_out.empty()) {
-    std::ofstream os(io.json_out);
-    os << "{\"bench\":\"ext_simspeed\",\"cells\":" << cells.size() << ",\"runs\":[";
-    for (size_t i = 0; i < runs.size(); ++i) {
-      const SpeedRun& r = runs[i];
-      char hash_hex[32];
-      std::snprintf(hash_hex, sizeof(hash_hex), "0x%016llx",
-                    static_cast<unsigned long long>(r.hash));
-      os << (i > 0 ? ",\n" : "\n") << "{\"threads\":" << r.threads << ",\"wall_ms\":" << r.wall_ms
-         << ",\"events\":" << static_cast<uint64_t>(r.events)
+    char hash_hex[32];
+    std::snprintf(hash_hex, sizeof(hash_hex), "0x%016llx",
+                  static_cast<unsigned long long>(r.hash));
+    json << (i > 0 ? ",\n" : "\n") << "{\"threads\":" << r.threads
+         << ",\"wall_ms\":" << r.wall_ms << ",\"events\":" << static_cast<uint64_t>(r.events)
          << ",\"sim_ns\":" << static_cast<uint64_t>(r.sim_ns)
-         << ",\"mops_per_sec\":" << r.MopsPerSec()
-         << ",\"cells_per_sec\":" << r.CellsPerSec()
+         << ",\"mops_per_sec\":" << r.MopsPerSec() << ",\"cells_per_sec\":" << r.CellsPerSec()
          << ",\"hash\":\"" << hash_hex << "\"}";
-    }
-    os << "\n]}\n";
-    std::cerr << "wrote " << io.json_out << "\n";
   }
+  json << "\n]";
+  sink.Print(table, 2);
+  sink.AddJson("cells", std::to_string(cells.size()));
+  sink.AddJson("runs", json.str());
 
-  // Hard gates.
-  int rc = 0;
-  for (size_t i = 1; i < runs.size(); ++i) {
-    if (runs[i].hash != runs[0].hash) {
-      std::cerr << "FAIL: determinism hash differs across thread counts ("
-                << runs[0].threads << " vs " << runs[i].threads << ")\n";
-      rc = 1;
-    }
-  }
-  if (!hash_ok) {
-    std::cerr << "FAIL: determinism hash drifted from pre-refactor golden 0x" << std::hex
+  std::cout << "cells: " << cells.size() << ", simulated ops: "
+            << static_cast<uint64_t>(runs[0].events) << ", peak " << peak_mops << " Mops/s\n";
+  std::cout << "host: " << std::thread::hardware_concurrency()
+            << " hardware threads (speedup caps at min(threads, cores))\n";
+
+  // Hard gates: the thread-invariance check above, and the golden.
+  if (!golden_ok) {
+    std::cout << "FAIL: determinism hash drifted from pre-refactor golden 0x" << std::hex
               << kGoldenHash << std::dec
               << " — the refactor changed simulated results, not just speed\n";
-    rc = 1;
   }
-  if (rc == 0) {
-    std::cout << "simspeed gate ok: hash bit-identical at threads 1/2/8 and equal to golden\n";
+  if (!invariant || !golden_ok) {
+    return 1;
   }
-  return rc;
+  std::cout << "simspeed gate ok: hash bit-identical at every thread count and equal to golden\n";
+  return 0;
 }
 
 }  // namespace
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  // Strip --smoke before BenchIo sees (and rejects) it.
-  bool smoke = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  return cki::Run(cki::BenchIo::Parse(static_cast<int>(args.size()), args.data()), smoke);
+  return cki::BenchMain(argc, argv, "bench_ext_simspeed", cki::kSmokeMode, cki::Run);
 }

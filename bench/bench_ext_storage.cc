@@ -60,9 +60,8 @@ std::unique_ptr<ContainerEngine> NewEngine(Machine& machine, RuntimeKind kind) {
 
 // --- phase 1: per-engine cache columns + warm-beats-cold gate -------------
 
-int RunEngineTable(const BenchIo& io, BenchObsSink* sink, bool smoke) {
-  (void)io;
-  const int wal_txns = smoke ? 64 : 200;
+int RunEngineTable(BenchObsSink& sink) {
+  const int wal_txns = sink.io().smoke ? 64 : 200;
   int rc = 0;
   ReportTable table("blkfs: WAL commits and cold/warm sequential scan", "config",
                     {"WAL txn/s", "flush/txn", "cold scan req/s", "warm scan req/s",
@@ -74,19 +73,19 @@ int RunEngineTable(const BenchIo& io, BenchObsSink* sink, bool smoke) {
     int image = BuildBlkfsImage(store, spec);
     Blkfs fs(bed.engine(), store, image, spec);
 
-    if (sink->active()) {
+    if (sink.active()) {
       bed.ctx().obs().Enable();
       bed.ctx().obs().set_owner(bed.engine().id());
-      bed.ctx().obs().set_sample_every(sink->io().sample_every);
+      bed.ctx().obs().set_sample_every(sink.io().sample_every);
     }
     SimNanos t0 = bed.ctx().clock().now();
     BlkfsRunResult wal = RunBlkfsWal(bed.engine(), fs, wal_txns, kWalName);
     BlkfsRunResult cold = RunBlkfsScan(bed.engine(), fs, kDataName, kScanBlocks);
     BlkfsRunResult warm = RunBlkfsScan(bed.engine(), fs, kDataName, kScanBlocks);
-    if (sink->active()) {
+    if (sink.active()) {
       bed.ctx().obs().Disable();
       fs.ExportMetrics(bed.ctx().obs().metrics());
-      sink->AddConfig("storage/" + config.label, bed.ctx().clock().now() - t0, bed.ctx().obs());
+      sink.AddConfig("storage/" + config.label, bed.ctx().clock().now() - t0, bed.ctx().obs());
     }
 
     double warm_lookups = static_cast<double>(warm.hits + warm.misses);
@@ -108,7 +107,7 @@ int RunEngineTable(const BenchIo& io, BenchObsSink* sink, bool smoke) {
       rc = 1;
     }
   }
-  table.Print(std::cout, 1);
+  sink.Print(table, 1);
   if (rc == 0) {
     std::cout << "cache: OK (warm scan beat cold scan on every engine; every fsync "
                  "reached the device)\n";
@@ -279,45 +278,24 @@ ClusterOutcome RunClusterOnce(uint32_t shards, uint32_t threads, uint64_t root_s
   return out;
 }
 
-int RunClusterDeterminism(const BenchIo& io, bool smoke, double io_error_rate) {
-  const uint32_t shards = io.ShardsOr(smoke ? 4 : 8);
-  int rc = 0;
+int RunClusterDeterminism(const BenchIo& io, double io_error_rate) {
+  const uint32_t shards = io.ShardsOr(io.smoke ? 4 : 8);
   std::cout << "cluster: " << shards << " shards, 4 containers each, chaos rate "
             << io_error_rate << " (blkfs_io_error)\n";
-  ClusterOutcome base;
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    ClusterOutcome out = RunClusterOnce(shards, threads, io.root_seed, io_error_rate, smoke);
-    std::cout << "cluster: threads=" << threads << " hash=0x" << std::hex << out.hash
-              << std::dec << " wal=" << out.wal_txn_s
-              << " txn/s/ctr io-errors=" << out.io_errors << "\n";
-    if (!out.ok) {
-      rc = 1;
-    }
-    if (threads == 1) {
-      base = out;
-    } else if (out.hash != base.hash) {
-      std::cout << "FAIL: cluster trace hash drifted across thread counts (threads=1 -> 0x"
-                << std::hex << base.hash << ", threads=" << std::dec << threads << " -> 0x"
-                << std::hex << out.hash << std::dec << ")\n";
-      rc = 1;
-    }
+  bool shards_ok = true;
+  const bool invariant = CheckThreadInvariant(
+      "cluster blkfs+injector+fault", {1, 2, 8}, [&](uint32_t threads) {
+        ClusterOutcome out = RunClusterOnce(shards, threads, io.root_seed, io_error_rate, io.smoke);
+        std::cout << "cluster: threads=" << threads << " wal=" << out.wal_txn_s
+                  << " txn/s/ctr io-errors=" << out.io_errors << "\n";
+        shards_ok &= out.ok;
+        return out.hash;
+      });
+  if (!invariant || !shards_ok) {
+    return 1;
   }
-  if (rc == 0) {
-    std::cout << "cluster: OK (blkfs+injector+fault hash bit-identical at --threads 1/2/8, "
-                 "zero leaked frames)\n";
-  }
-  return rc;
-}
-
-int Run(const BenchIo& io, bool smoke, double io_error_rate) {
-  BenchObsSink sink(io);
-  int rc = RunEngineTable(io, &sink, smoke);
-  rc |= RunDedupDensity(smoke);
-  rc |= RunClusterDeterminism(io, smoke, io_error_rate);
-  if (sink.active() && !sink.Write("bench_ext_storage")) {
-    rc = 1;
-  }
-  return rc;
+  std::cout << "cluster: OK (zero leaked frames at every thread count)\n";
+  return 0;
 }
 
 // --chaos-kinds parsing through the compile-checked name tables: the only
@@ -351,28 +329,21 @@ bool ParseChaosKinds(std::string_view list, double* io_error_rate) {
   return true;
 }
 
+int Run(BenchObsSink& sink) {
+  double io_error_rate = 0;
+  if (!ParseChaosKinds(sink.io().chaos_kinds, &io_error_rate)) {
+    return kBenchUsageError;
+  }
+  int rc = RunEngineTable(sink);
+  rc |= RunDedupDensity(sink.io().smoke);
+  rc |= RunClusterDeterminism(sink.io(), io_error_rate);
+  return rc;
+}
+
 }  // namespace
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  // Strip --smoke and --chaos-kinds before BenchIo sees (and rejects) them.
-  bool smoke = false;
-  std::string chaos_kinds;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--chaos-kinds=", 0) == 0) {
-      chaos_kinds = arg.substr(std::string_view("--chaos-kinds=").size());
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  double io_error_rate = 0;
-  if (!cki::ParseChaosKinds(chaos_kinds, &io_error_rate)) {
-    return 2;
-  }
-  return cki::Run(cki::BenchIo::Parse(static_cast<int>(args.size()), args.data()), smoke,
-                  io_error_rate);
+  return cki::BenchMain(argc, argv, "bench_ext_storage", cki::kSmokeMode | cki::kChaosKindsMode,
+                        cki::Run);
 }

@@ -5,13 +5,14 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench/bench_util.h"
 #include "src/metrics/report.h"
 #include "src/workloads/cve_data.h"
 
 namespace cki {
 namespace {
 
-void Run() {
+void Run(BenchObsSink& sink) {
   ReportTable table("Figure 2: container-exploitable Linux CVEs (209 total)", "effect",
                     {"count", "share %", "DoS", "contained: kernel-sep", "contained: enclave"});
   int total = 0;
@@ -25,7 +26,7 @@ void Run() {
                   c.dos_capable ? 1.0 : 0.0, ContainedByKernelSeparation(c) ? 1.0 : 0.0,
                   ContainedByKernelSharing(c) ? 1.0 : 0.0});
   }
-  table.Print(std::cout, 1);
+  sink.Print(table, 1);
   std::printf("DoS-capable share: %.1f%% (paper: 97.3%%)\n", DosShare() * 100.0);
   std::printf("Kernel separation contains all %d classes; kernel sharing contains only the\n"
               "non-DoS class (information leakage).\n",
@@ -35,7 +36,6 @@ void Run() {
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_fig02_cves", cki::kNoMode, cki::Run);
 }

@@ -11,7 +11,7 @@
 namespace cki {
 namespace {
 
-void Run() {
+void Run(BenchObsSink& sink) {
   std::vector<std::string> app_names;
   for (const MemAppSpec& spec : MemoryAppSuite()) {
     app_names.emplace_back(spec.name);
@@ -26,14 +26,13 @@ void Run() {
     }
     latency.AddRow(config.label, row);
   }
-  latency.Print(std::cout, 2);
-  latency.NormalizedTo("RunC-BM").Print(std::cout, 3);
+  sink.Print(latency, 2);
+  sink.Print(latency.NormalizedTo("RunC-BM"), 3);
 }
 
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_fig04_memapps", cki::kNoMode, cki::Run);
 }

@@ -10,7 +10,7 @@
 namespace cki {
 namespace {
 
-void Run() {
+void Run(BenchObsSink& sink) {
   std::vector<std::string> app_names;
   for (const IoAppSpec& spec : IoAppSuite()) {
     app_names.emplace_back(spec.name);
@@ -25,8 +25,8 @@ void Run() {
     }
     tput.AddRow(config.label, row);
   }
-  tput.Print(std::cout, 0);
-  tput.NormalizedTo("RunC-BM", /*invert=*/true).Print(std::cout, 3);
+  sink.Print(tput, 0);
+  sink.Print(tput.NormalizedTo("RunC-BM", /*invert=*/true), 3);
 
   // The paper's PVM-vs-HVM nested ratio (1.8x ~ 4.3x).
   std::cout << "HVM-NST vs PVM-NST throughput ratio (PVM/HVM):\n";
@@ -40,7 +40,6 @@ void Run() {
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_fig05_ioapps", cki::kNoMode, cki::Run);
 }

@@ -18,7 +18,7 @@ struct FaultBreakdown {
 };
 
 FaultBreakdown MeasureFault(RuntimeKind kind, Deployment dep, std::string_view label,
-                            BenchObsSink* sink) {
+                            BenchObsSink& sink) {
   Testbed bed(kind, dep);
   constexpr int kPages = 128;
   uint64_t base = bed.engine().MmapAnon(kPages * kPageSize, false);
@@ -27,7 +27,7 @@ FaultBreakdown MeasureFault(RuntimeKind kind, Deployment dep, std::string_view l
 
   // Observe only the measured region: boot and warmup stay out of the span
   // tree, so the profiler's root total equals the measured latency.
-  if (sink != nullptr && sink->active()) {
+  if (sink.active()) {
     bed.ctx().obs().Enable();
     bed.ctx().obs().set_owner(bed.engine().id());
   }
@@ -38,9 +38,9 @@ FaultBreakdown MeasureFault(RuntimeKind kind, Deployment dep, std::string_view l
       bed.engine().UserTouch(base + static_cast<uint64_t>(i) * kPageSize, true);
     }
   });
-  if (sink != nullptr && sink->active()) {
+  if (sink.active()) {
     bed.ctx().obs().Disable();
-    sink->AddConfig(label, total, bed.ctx().obs());
+    sink.AddConfig(label, total, bed.ctx().obs());
   }
   FaultBreakdown b;
   b.total = static_cast<double>(total) / (kPages - 1);
@@ -62,11 +62,11 @@ FaultBreakdown MeasureFault(RuntimeKind kind, Deployment dep, std::string_view l
   return b;
 }
 
-SimNanos SyscallNs(RuntimeKind kind, std::string_view label, BenchObsSink* sink) {
+SimNanos SyscallNs(RuntimeKind kind, std::string_view label, BenchObsSink& sink) {
   Testbed bed(kind, Deployment::kBareMetal);
   bed.engine().UserSyscall(SyscallRequest{.no = Sys::kGetpid});
   constexpr int kIters = 128;
-  if (sink != nullptr && sink->active()) {
+  if (sink.active()) {
     bed.ctx().obs().Enable();
     bed.ctx().obs().set_owner(bed.engine().id());
   }
@@ -75,14 +75,14 @@ SimNanos SyscallNs(RuntimeKind kind, std::string_view label, BenchObsSink* sink)
       bed.engine().UserSyscall(SyscallRequest{.no = Sys::kGetpid});
     }
   });
-  if (sink != nullptr && sink->active()) {
+  if (sink.active()) {
     bed.ctx().obs().Disable();
-    sink->AddConfig(label, total, bed.ctx().obs());
+    sink.AddConfig(label, total, bed.ctx().obs());
   }
   return total / kIters;
 }
 
-void Run(BenchObsSink* sink) {
+void Run(BenchObsSink& sink) {
   ReportTable fig10a("Figure 10a: page-fault latency breakdown (ns)", "config",
                      {"total", "pgfault handler", "mechanism (exits/SPT/EPT/KSM)"});
   struct Cfg {
@@ -103,7 +103,7 @@ void Run(BenchObsSink* sink) {
         MeasureFault(cfg.kind, cfg.dep, std::string("fault/") + cfg.label, sink);
     fig10a.AddRow(cfg.label, {b.total, b.handler, b.mechanism});
   }
-  fig10a.Print(std::cout, 0);
+  sink.Print(fig10a, 0);
   std::cout << "Paper: HVM-NST 32565 (1684+30881), HVM-BM 3257 (1164+2093),\n"
                "PVM 4407 (1065+1532+1828), CKI 1067 (990+77), RunC ~1000.\n\n";
 
@@ -114,7 +114,7 @@ void Run(BenchObsSink* sink) {
   fig10b.AddRow("CKI-wo-OPT3", {static_cast<double>(SyscallNs(RuntimeKind::kCkiNoOpt3, "syscall/CKI-wo-OPT3", sink))});
   fig10b.AddRow("CKI-wo-OPT2", {static_cast<double>(SyscallNs(RuntimeKind::kCkiNoOpt2, "syscall/CKI-wo-OPT2", sink))});
   fig10b.AddRow("PVM", {static_cast<double>(SyscallNs(RuntimeKind::kPvm, "syscall/PVM", sink))});
-  fig10b.Print(std::cout, 0);
+  sink.Print(fig10b, 0);
   std::cout << "Paper: RunC/HVM/CKI ~90, CKI-wo-OPT3 153, CKI-wo-OPT2 238, PVM 336.\n";
 }
 
@@ -122,7 +122,5 @@ void Run(BenchObsSink* sink) {
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  cki::BenchObsSink sink(cki::BenchIo::Parse(argc, argv));
-  cki::Run(&sink);
-  return sink.Write("fig10_breakdown") ? 0 : 1;
+  return cki::BenchMain(argc, argv, "bench_fig10_breakdown", cki::kNoMode, cki::Run);
 }

@@ -12,7 +12,7 @@
 namespace cki {
 namespace {
 
-void Run() {
+void Run(BenchObsSink& sink) {
   std::vector<std::string> op_names;
   for (LmbenchOp op : LmbenchSuite()) {
     op_names.emplace_back(LmbenchOpName(op));
@@ -28,14 +28,13 @@ void Run() {
     }
     latency.AddRow(config.label, row);
   }
-  latency.Print(std::cout, 0);
-  latency.NormalizedTo("RunC").Print(std::cout, 2);
+  sink.Print(latency, 0);
+  sink.Print(latency.NormalizedTo("RunC"), 2);
 }
 
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_fig11_lmbench", cki::kNoMode, cki::Run);
 }

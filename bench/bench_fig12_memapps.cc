@@ -14,7 +14,7 @@
 namespace cki {
 namespace {
 
-void Run() {
+void Run(BenchObsSink& sink) {
   std::vector<std::string> app_names;
   for (const MemAppSpec& spec : MemoryAppSuite()) {
     app_names.emplace_back(spec.name);
@@ -52,14 +52,13 @@ void Run() {
     latency.AddRow("PVM-2M", row);
   }
 
-  latency.Print(std::cout, 2);
-  latency.NormalizedTo("RunC").Print(std::cout, 3);
+  sink.Print(latency, 2);
+  sink.Print(latency.NormalizedTo("RunC"), 3);
 }
 
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_fig12_memapps", cki::kNoMode, cki::Run);
 }

@@ -28,7 +28,8 @@ double OverheadPct(double runc_ns, double measured_ns) {
   return (measured_ns / runc_ns - 1.0) * 100.0;
 }
 
-void Run(const BenchIo& io) {
+void Run(BenchObsSink& sink) {
+  const BenchIo& io = sink.io();
   const std::vector<BenchConfig> configs = {
       {"HVM-NST", RuntimeKind::kHvm, Deployment::kNested},
       {"HVM-BM", RuntimeKind::kHvm, Deployment::kBareMetal},
@@ -73,7 +74,7 @@ void Run(const BenchIo& io) {
     }
     btree.AddRow(config.label, row);
   }
-  btree.Print(std::cout, 1);
+  sink.Print(btree, 1);
 
   size_t n_particles = 0;
   const int* particles = Fig13Particles(&n_particles);
@@ -91,7 +92,7 @@ void Run(const BenchIo& io) {
     }
     xs.AddRow(config.label, row);
   }
-  xs.Print(std::cout, 1);
+  sink.Print(xs, 1);
 
   std::cout << "cluster: " << cells.size() << " cells, " << cluster.config().threads
             << " threads, root-seed=" << cc.root_seed << "\n";
@@ -104,6 +105,5 @@ void Run(const BenchIo& io) {
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  cki::Run(cki::BenchIo::Parse(argc, argv));
-  return 0;
+  return cki::BenchMain(argc, argv, "bench_fig13_sweep", cki::kNoMode, cki::Run);
 }

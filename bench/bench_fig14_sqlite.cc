@@ -37,7 +37,7 @@ const SqlitePattern& PatternNamed(std::string_view name) {
   std::exit(2);
 }
 
-void RunTmpfs() {
+void RunTmpfs(BenchObsSink& sink) {
   std::vector<std::string> pattern_names;
   for (const SqlitePattern& p : SqliteSuite()) {
     pattern_names.emplace_back(p.name);
@@ -63,15 +63,15 @@ void RunTmpfs() {
     tput.AddRow(config.label, tput_row);
     freq.AddRow(config.label, freq_row);
   }
-  tput.Print(std::cout, 1);
-  tput.NormalizedTo("RunC", /*invert=*/true).Print(std::cout, 3);
-  freq.Print(std::cout, 2);
+  sink.Print(tput, 1);
+  sink.Print(tput.NormalizedTo("RunC", /*invert=*/true), 3);
+  sink.Print(freq, 2);
   std::cout << "Paper: PVM loses 19~24% on write patterns (syscall redirection\n"
                "proportional to syscall frequency); reads show little gap;\n"
                "CKI == HVM == RunC.\n\n";
 }
 
-void RunBlkfs(BenchObsSink* sink) {
+void RunBlkfs(BenchObsSink& sink) {
   const SqlitePattern& fillseq = PatternNamed("fillseq");
   const SqlitePattern& readrandom = PatternNamed("readrandom");
   ReportTable table("Figure 14 (ext): SQLite on the blkfs block store", "config",
@@ -84,21 +84,21 @@ void RunBlkfs(BenchObsSink* sink) {
     int image = BuildBlkfsImage(store, spec);
     Blkfs fs(bed.engine(), store, image, spec);
 
-    if (sink->active()) {
+    if (sink.active()) {
       bed.ctx().obs().Enable();
       bed.ctx().obs().set_owner(bed.engine().id());
-      bed.ctx().obs().set_sample_every(sink->io().sample_every);
+      bed.ctx().obs().set_sample_every(sink.io().sample_every);
     }
     SimNanos t0 = bed.ctx().clock().now();
     BlkfsCounters before = fs.counters();
     SqliteResult w = RunSqlitePatternBlkfs(bed.engine(), fillseq);
     SqliteResult r = RunSqlitePatternBlkfs(bed.engine(), readrandom);
     const BlkfsCounters& after = fs.counters();
-    if (sink->active()) {
+    if (sink.active()) {
       bed.ctx().obs().Disable();
       fs.ExportMetrics(bed.ctx().obs().metrics());
-      sink->AddConfig("sqlite-blkfs/" + config.label, bed.ctx().clock().now() - t0,
-                      bed.ctx().obs());
+      sink.AddConfig("sqlite-blkfs/" + config.label, bed.ctx().clock().now() - t0,
+                     bed.ctx().obs());
     }
 
     double hits = static_cast<double>(after.hits - before.hits);
@@ -110,25 +110,20 @@ void RunBlkfs(BenchObsSink* sink) {
                   static_cast<double>(after.readahead - before.readahead),
                   static_cast<double>(after.writebacks - before.writebacks)});
   }
-  table.Print(std::cout, 1);
+  sink.Print(table, 1);
   std::cout << "blkfs moves the journal barrier onto the device: write patterns pay\n"
                "the virtio FLUSH ladder on top of the Figure 14 syscall gap; the\n"
                "read pattern stays cache-resident after the warm pass.\n";
 }
 
-int Run(const BenchIo& io) {
-  BenchObsSink sink(io);
-  RunTmpfs();
-  RunBlkfs(&sink);
-  if (sink.active() && !sink.Write("bench_fig14_sqlite")) {
-    return 1;
-  }
-  return 0;
+void Run(BenchObsSink& sink) {
+  RunTmpfs(sink);
+  RunBlkfs(sink);
 }
 
 }  // namespace
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  return cki::Run(cki::BenchIo::Parse(argc, argv));
+  return cki::BenchMain(argc, argv, "bench_fig14_sqlite", cki::kNoMode, cki::Run);
 }

@@ -10,7 +10,7 @@
 namespace cki {
 namespace {
 
-void Run() {
+void Run(BenchObsSink& sink) {
   std::vector<std::string> pattern_names;
   for (const SqlitePattern& p : SqliteSuite()) {
     pattern_names.emplace_back(p.name);
@@ -41,7 +41,7 @@ void Run() {
     }
     overhead.AddRow(config.label, row);
   }
-  overhead.Print(std::cout, 1);
+  sink.Print(overhead, 1);
   std::cout << "Paper: PVM 24/17/23/22/22/1/0; CKI-wo-OPT2 15/1/15/13/12/1/1;\n"
                "CKI-wo-OPT3 9/0/8/5/6/0/0 (%).\n";
 }
@@ -49,7 +49,6 @@ void Run() {
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_fig15_ablation", cki::kNoMode, cki::Run);
 }

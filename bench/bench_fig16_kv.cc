@@ -12,7 +12,7 @@
 namespace cki {
 namespace {
 
-void RunKind(KvKind kind, const char* title, const char* tag, BenchObsSink* sink) {
+void RunKind(KvKind kind, const char* title, const char* tag, BenchObsSink& sink) {
   const int client_counts[] = {1, 2, 4, 8, 16, 32, 64};
   std::vector<std::string> cols;
   for (int c : client_counts) {
@@ -27,25 +27,25 @@ void RunKind(KvKind kind, const char* title, const char* tag, BenchObsSink* sink
     std::vector<double> row;
     for (int clients : client_counts) {
       Testbed bed(config.kind, config.deployment);
-      if (sink != nullptr && sink->active()) {
+      if (sink.active()) {
         bed.ctx().obs().Enable();
         bed.ctx().obs().set_owner(bed.engine().id());
       }
       KvConfig kv{.kind = kind, .clients = clients, .total_requests = 4000};
       SimNanos t0 = bed.ctx().clock().now();
       row.push_back(RunKvBenchmark(bed.engine(), kv).requests_per_sec * 1e-3);
-      if (sink != nullptr && sink->active()) {
+      if (sink.active()) {
         bed.ctx().obs().Disable();
         // The workload exported its NIC/switch counters into the metrics
         // registry before tearing the network down.
-        sink->AddConfig(std::string(tag) + "/" + config.label + "/c" +
+        sink.AddConfig(std::string(tag) + "/" + config.label + "/c" +
                             std::to_string(clients),
                         bed.ctx().clock().now() - t0, bed.ctx().obs());
       }
     }
     tput.AddRow(config.label, row);
   }
-  tput.Print(std::cout, 1);
+  sink.Print(tput, 1);
 
   size_t last = std::size(client_counts) - 1;
   std::cout << "Saturated ratios (64 clients): CKI-NST/HVM-NST = "
@@ -56,7 +56,7 @@ void RunKind(KvKind kind, const char* title, const char* tag, BenchObsSink* sink
             << tput.ValueAt("CKI-NST", last) / tput.ValueAt("PVM-NST", last) << "x\n\n";
 }
 
-void Run(BenchObsSink* sink) {
+void Run(BenchObsSink& sink) {
   RunKind(KvKind::kMemcached, "Figure 16a: memcached throughput (kreq/s)", "memcached",
           sink);
   RunKind(KvKind::kRedis, "Figure 16b: Redis throughput (kreq/s)", "redis", sink);
@@ -68,7 +68,5 @@ void Run(BenchObsSink* sink) {
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  cki::BenchObsSink sink(cki::BenchIo::Parse(argc, argv));
-  cki::Run(&sink);
-  return sink.Write("fig16_kv") ? 0 : 1;
+  return cki::BenchMain(argc, argv, "bench_fig16_kv", cki::kNoMode, cki::Run);
 }

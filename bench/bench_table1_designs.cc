@@ -5,6 +5,7 @@
 // security/compatibility probes.
 #include <iostream>
 
+#include "bench/bench_util.h"
 #include "src/metrics/report.h"
 #include "src/runtime/runtime.h"
 #include "src/virt/libos_engine.h"
@@ -45,7 +46,7 @@ SimNanos HostReqNs(Testbed& bed) {
   return total / kIters;
 }
 
-void Run() {
+void Run(BenchObsSink& sink) {
   ReportTable table("Table 1 (quantified): VM-level container designs", "design",
                     {"syscall ns", "pgfault BM ns", "pgfault NST ns", "host-req NST ns"});
 
@@ -68,7 +69,7 @@ void Run() {
     table.AddRow(d.label, {static_cast<double>(SyscallNs(s)), static_cast<double>(FaultNs(f_bm)),
                            static_cast<double>(FaultNs(f_nst)), static_cast<double>(HostReqNs(h))});
   }
-  table.Print(std::cout, 0);
+  sink.Print(table, 0);
 
   // The qualitative columns, demonstrated.
   {
@@ -94,7 +95,6 @@ void Run() {
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_table1_designs", cki::kNoMode, cki::Run);
 }

@@ -53,7 +53,7 @@ SimNanos HypercallNs(Testbed& bed) {
   return total / kIters;
 }
 
-void Run() {
+void Run(BenchObsSink& sink) {
   ReportTable table("Table 2: microbenchmark latencies (ns)", "op",
                     {"RunC-BM", "HVM-BM", "PVM-BM", "CKI-BM", "HVM-NST", "PVM-NST", "CKI-NST"});
   std::vector<std::pair<RuntimeKind, Deployment>> configs = {
@@ -83,7 +83,7 @@ void Run() {
   table.AddRow("syscall", syscalls);
   table.AddRow("pgfault (cold)", faults);
   table.AddRow("hypercall", hypercalls);
-  table.Print(std::cout, 0);
+  sink.Print(table, 0);
 
   std::cout << "Paper (Table 2): syscall 93/91/336 (BM), 91/336 (NST); pgfault\n"
                "1000/4347/6727 (BM), 34050/7346 (NST); hypercall -/1088/466 (BM),\n"
@@ -93,7 +93,6 @@ void Run() {
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_table2_micro", cki::kNoMode, cki::Run);
 }

@@ -12,7 +12,7 @@
 namespace cki {
 namespace {
 
-void Run() {
+void Run(BenchObsSink& sink) {
   ReportTable table("Table 4: TLB-miss-intensive finish time (ms, simulated)", "app",
                     {"RunC-BM", "HVM-BM", "HVM-BM-2M(EPT)", "PVM-BM", "CKI-BM"});
 
@@ -38,7 +38,7 @@ void Run() {
                {run_btree(RuntimeKind::kRunc, false), run_btree(RuntimeKind::kHvm, false),
                 run_btree(RuntimeKind::kHvm, true), run_btree(RuntimeKind::kPvm, false),
                 run_btree(RuntimeKind::kCki, false)});
-  table.Print(std::cout, 2);
+  sink.Print(table, 2);
   std::cout << "Paper (s): GUPS 54.9 / 67.8|67.1 / 54.9 / 55.1;\n"
                "BTree-Lookup 22.6 / 24.1|24.2 / 21.7 / 22.6.\n"
                "Shape: HVM ~19-23% slower on GUPS (2-D walk), ~6% on BTree;\n"
@@ -48,7 +48,6 @@ void Run() {
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_table4_tlb", cki::kNoMode, cki::Run);
 }

@@ -5,6 +5,7 @@
 // interrupt redirection, interrupt-forgery prevention).
 #include <cstdio>
 
+#include "bench/bench_util.h"
 #include "src/cki/cki_engine.h"
 #include "src/hw/idt.h"
 #include "src/runtime/runtime.h"
@@ -22,7 +23,9 @@ struct RelatedRow {
   bool intr_forgery_prevent;
 };
 
-void Run() {
+// Prints the yes/- text table and records the same cells as 0/1 in a
+// ReportTable for --json-out.
+void Run(BenchObsSink& sink) {
   // Prior-work rows as published in Table 5.
   const RelatedRow rows[] = {
       {"Nested Kernel", false, true, true, false, false, false},
@@ -75,6 +78,18 @@ void Run() {
   std::printf("%-14s %-9s %-8s %-9s %-9s %-9s %s   <- demonstrated live\n", "CKI", yn(scalable),
               yn(secure_pgtbl), yn(no_virt_hw), yn(complete_priv), yn(intr_redirect),
               yn(forgery_prevented));
+  ReportTable json_table("Table 5: intra-kernel isolation domain comparison", "system",
+                         {"scalable", "pgtbl", "no-virtHW", "priv-iso", "intr-rdr",
+                          "forgery-prevent"});
+  auto bit = [](bool b) { return b ? 1.0 : 0.0; };
+  for (const RelatedRow& r : rows) {
+    json_table.AddRow(r.system, {bit(r.scalable_domains), bit(r.secure_pgtbl), bit(r.no_virt_hw),
+                                 bit(r.complete_priv_iso), bit(r.intr_redirect),
+                                 bit(r.intr_forgery_prevent)});
+  }
+  json_table.AddRow("CKI", {bit(scalable), bit(secure_pgtbl), bit(no_virt_hw), bit(complete_priv),
+                            bit(intr_redirect), bit(forgery_prevented)});
+  sink.AddTable(json_table);
   std::printf("\n(%d CKI containers booted on one machine with 3 PKS keys in use each)\n",
               kContainers);
 }
@@ -82,7 +97,6 @@ void Run() {
 }  // namespace
 }  // namespace cki
 
-int main() {
-  cki::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return cki::BenchMain(argc, argv, "bench_table5_related", cki::kNoMode, cki::Run);
 }

@@ -1,15 +1,23 @@
-// Shared helpers for the per-figure/table benchmark binaries.
+// Shared helpers for the per-figure/table benchmark binaries: the config
+// lists, and the one harness every bench except bench_ablation_gates
+// (google-benchmark, which parses its own flags) runs through — one flag
+// parser (BenchIo::Parse), one entry point (BenchMain), one result writer
+// (BenchObsSink) and one thread-invariance check (CheckThreadInvariant).
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "src/metrics/report.h"
 #include "src/obs/json_util.h"
 #include "src/obs/trace_export.h"
 #include "src/runtime/runtime.h"
@@ -66,29 +74,39 @@ inline std::vector<BenchConfig> Fig16Configs() {
   };
 }
 
-// Options shared by all bench binaries — the one consolidated usage block
-// (every IO flag every bench accepts lives here; keep it in sync with
-// Parse below and the error message it prints).
-//
-// Observability output:
-//   --json-out=<file>     machine-readable per-config metrics dump
-//   --trace-out=<file>    merged Chrome trace-event file (Perfetto-loadable;
-//                         includes causal request flows, DESIGN.md §11)
-//   --metrics-csv=<file>  flat CSV of every counter/histogram per config
-//                         (spreadsheet-ready companion of --json-out)
-//
-// Telemetry cost control (DESIGN.md §11):
-//   --sample-every=<n>    keep recorder/span/histogram writes for 1 in n
-//                         root operations (default 1 = full rate; SLO
-//                         windows and self-accounting stay always-on).
-//                         Never changes simulated time or trace hashes.
-//
-// Cluster scale-out (benches built on SimCluster, DESIGN.md §9):
-//   --shards=<n>          independent simulated machines (0: bench default)
-//   --threads=<n>         worker OS threads (0: bench default; results are
-//                         identical at any value — threads change
-//                         wall-clock time only)
-//   --root-seed=<n>       root of the deterministic per-shard seed split
+// The usage block BenchMain prints on a bad argument: every flag any bench
+// takes. BenchIo::Parse is its one implementation.
+inline constexpr std::string_view kBenchUsage =
+    "usage: <bench> [flags]   (a bad flag or number exits 2)\n"
+    "Output, every bench:\n"
+    "  --json-out=<file>     printed tables, per-config telemetry and bench records\n"
+    "  --trace-out=<file>    merged Chrome trace-event file (Perfetto-loadable;\n"
+    "                        includes causal request flows, DESIGN.md §11)\n"
+    "  --metrics-csv=<file>  flat CSV of every counter/histogram per config\n"
+    "  --sample-every=<n>    keep recorder/span/histogram writes for 1 in n root\n"
+    "                        operations (n >= 1, default 1 = full rate; never\n"
+    "                        changes simulated time or trace hashes)\n"
+    "Cluster scale-out, acted on by the SimCluster and orchestrator benches:\n"
+    "  --shards=<n>          independent simulated machines (0: bench default)\n"
+    "  --threads=<n>         worker OS threads (0: bench default; results are\n"
+    "                        identical at any value)\n"
+    "  --root-seed=<n>       root of the deterministic per-shard seed split\n"
+    "Modes, only on benches that have them:\n"
+    "  --smoke               short CI-sized run\n"
+    "  --chaos-kinds=<a,b>   arm only the named fault kinds\n";
+
+// Exit code of a usage error: a bad flag, or an argument the bench itself
+// rejects (e.g. an unknown --chaos-kinds name). Nothing is written.
+inline constexpr int kBenchUsageError = 2;
+
+// The optional modes a bench has. A mode flag given to a bench without
+// that mode is a usage error.
+enum BenchMode : uint32_t {
+  kNoMode = 0,
+  kSmokeMode = 1u << 0,       // --smoke
+  kChaosKindsMode = 1u << 1,  // --chaos-kinds=
+};
+
 struct BenchIo {
   std::string json_out;
   std::string trace_out;
@@ -97,6 +115,8 @@ struct BenchIo {
   uint32_t shards = 0;        // 0: bench-specific default
   uint32_t threads = 0;       // 0: bench-specific default
   uint64_t root_seed = 1;
+  bool smoke = false;
+  std::string chaos_kinds;  // empty: the bench's default fault mix
 
   bool observing() const {
     return !json_out.empty() || !trace_out.empty() || !metrics_csv.empty();
@@ -106,55 +126,72 @@ struct BenchIo {
   uint32_t ShardsOr(uint32_t fallback) const { return shards != 0 ? shards : fallback; }
   uint32_t ThreadsOr(uint32_t fallback) const { return threads != 0 ? threads : fallback; }
 
-  static BenchIo Parse(int argc, char** argv) {
-    BenchIo io;
+  // Parses argv[1..argc) for a bench with `modes` (BenchMode bits) into
+  // `io`. Returns "" on success, else one line naming the first bad
+  // argument; prints nothing.
+  static std::string Parse(int argc, const char* const* argv, uint32_t modes, BenchIo* io) {
     for (int i = 1; i < argc; ++i) {
-      std::string_view arg = argv[i];
-      if (arg.rfind("--json-out=", 0) == 0) {
-        io.json_out = arg.substr(std::string_view("--json-out=").size());
-      } else if (arg.rfind("--trace-out=", 0) == 0) {
-        io.trace_out = arg.substr(std::string_view("--trace-out=").size());
-      } else if (arg.rfind("--metrics-csv=", 0) == 0) {
-        io.metrics_csv = arg.substr(std::string_view("--metrics-csv=").size());
-      } else if (arg.rfind("--sample-every=", 0) == 0) {
-        io.sample_every = ParseUint(arg.substr(std::string_view("--sample-every=").size()));
-        if (io.sample_every == 0) {
-          io.sample_every = 1;
-        }
-      } else if (arg.rfind("--shards=", 0) == 0) {
-        io.shards = ParseUint(arg.substr(std::string_view("--shards=").size()));
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        io.threads = ParseUint(arg.substr(std::string_view("--threads=").size()));
-      } else if (arg.rfind("--root-seed=", 0) == 0) {
-        io.root_seed = ParseUint64(arg.substr(std::string_view("--root-seed=").size()));
+      const std::string_view arg = argv[i];
+      const size_t eq = arg.find('=');
+      const std::string_view flag = arg.substr(0, eq);
+      const std::string_view value = eq == std::string_view::npos ? "" : arg.substr(eq + 1);
+      std::string error;
+      if (arg == "--smoke") {
+        io->smoke = true;
+        error = (modes & kSmokeMode) != 0 ? "" : "this bench has no smoke mode";
+      } else if (eq == std::string_view::npos) {
+        error = "unknown flag (value flags take --flag=<value>)";
+      } else if (value.empty()) {
+        error = "missing value";
+      } else if (flag == "--json-out") {
+        io->json_out = value;
+      } else if (flag == "--trace-out") {
+        io->trace_out = value;
+      } else if (flag == "--metrics-csv") {
+        io->metrics_csv = value;
+      } else if (flag == "--sample-every") {
+        error = ParseNumber(value, 1u, &io->sample_every);
+      } else if (flag == "--shards") {
+        error = ParseNumber(value, 0u, &io->shards);
+      } else if (flag == "--threads") {
+        error = ParseNumber(value, 0u, &io->threads);
+      } else if (flag == "--root-seed") {
+        error = ParseNumber(value, uint64_t{0}, &io->root_seed);
+      } else if (flag == "--chaos-kinds") {
+        io->chaos_kinds = value;
+        error = (modes & kChaosKindsMode) != 0 ? "" : "this bench has no chaos kinds";
       } else {
-        std::cerr << "unknown argument: " << arg
-                  << " (supported: --json-out=<file> --trace-out=<file>"
-                     " --metrics-csv=<file> --sample-every=<n>"
-                     " --shards=<n> --threads=<n> --root-seed=<n>)\n";
+        error = "unknown flag";
+      }
+      if (!error.empty()) {
+        return std::string(arg) + ": " + error;
       }
     }
-    return io;
+    return "";
   }
 
  private:
-  static uint64_t ParseUint64(std::string_view s) {
-    uint64_t v = 0;
-    for (char c : s) {
-      if (c < '0' || c > '9') {
-        std::cerr << "bad numeric argument value: " << s << "\n";
-        return 0;
-      }
-      v = v * 10 + static_cast<uint64_t>(c - '0');
+  template <typename T>
+  static std::string ParseNumber(std::string_view s, T min, T* out) {
+    T v = 0;
+    const char* end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || ptr != end) {
+      return "not a number in range";
     }
-    return v;
+    if (v < min) {
+      return "must be at least " + std::to_string(min);
+    }
+    *out = v;
+    return "";
   }
-  static uint32_t ParseUint(std::string_view s) { return static_cast<uint32_t>(ParseUint64(s)); }
 };
 
-// Accumulates the observability output of several measured configurations
-// (one Testbed each) and writes the merged files on Write(). Each config
-// becomes one JSON entry and one trace process track.
+// The one result writer of the bench layer. Accumulates what a bench
+// measured and writes the requested files on Write():
+//   --json-out     {"bench":..,"configs":[..],"tables":[..], <AddJson members>}
+//   --trace-out    one trace process track per AddConfig
+//   --metrics-csv  one block of rows per AddConfig / AddMetrics
 class BenchObsSink {
  public:
   explicit BenchObsSink(BenchIo io) : io_(std::move(io)) {}
@@ -176,32 +213,57 @@ class BenchObsSink {
     obs.WriteJson(json);
     json << "}";
     config_json_.push_back(json.str());
-    std::ostringstream trace;
     WriteChromeTraceEvents(obs, static_cast<uint32_t>(config_json_.size()), label, &trace_first_,
-                           trace);
-    trace_events_ << trace.str();
+                           trace_events_);
     if (obs.has_data()) {
       // The CSV gets the registry plus the per-container SLO gauges, so
       // rolling p99/rate/fault columns land next to the raw counters.
       MetricsRegistry with_slo = obs.metrics();
       obs.ExportSloMetrics(with_slo);
-      with_slo.WriteCsvRows(csv_rows_, label);
+      AddMetrics(label, with_slo);
     }
   }
 
-  // Writes the requested files; call once after all configs ran. Returns
+  // Appends `metrics` to the CSV, one row per metric labelled `label`.
+  void AddMetrics(std::string_view label, const MetricsRegistry& metrics) {
+    metrics.WriteCsvRows(csv_rows_, label);
+  }
+
+  // Records `table` in the JSON "tables" array.
+  void AddTable(const ReportTable& table) {
+    std::ostringstream json;
+    table.PrintJson(json);
+    table_json_.push_back(json.str());
+  }
+
+  // Prints `table` to stdout and records it: every printed table lands in
+  // --json-out.
+  void Print(const ReportTable& table, int precision) {
+    table.Print(std::cout, precision);
+    AddTable(table);
+  }
+
+  // Adds a bench-specific top-level JSON member; `json` is one JSON value.
+  void AddJson(std::string_view key, std::string json) {
+    extra_json_.emplace_back(std::string(key), std::move(json));
+  }
+
+  // Writes the requested files; call once after the bench ran. Returns
   // false (and reports on stderr) if any requested file could not be written.
-  bool Write(std::string_view bench_name) {
+  bool Write(std::string_view bench_name) const {
     bool ok = true;
     if (!io_.json_out.empty()) {
       std::ofstream os(io_.json_out);
       os << "{\"bench\":";
       WriteJsonString(os, bench_name);
-      os << ",\"configs\":[";
-      for (size_t i = 0; i < config_json_.size(); ++i) {
-        os << (i > 0 ? ",\n" : "\n") << config_json_[i];
+      WriteArray(os, "configs", config_json_);
+      WriteArray(os, "tables", table_json_);
+      for (const auto& [key, json] : extra_json_) {
+        os << ",\n";
+        WriteJsonString(os, key);
+        os << ":" << json;
       }
-      os << "\n]}\n";
+      os << "}\n";
       ok &= ReportWrite(os, io_.json_out);
     }
     if (!io_.trace_out.empty()) {
@@ -220,6 +282,15 @@ class BenchObsSink {
   }
 
  private:
+  static void WriteArray(std::ostream& os, std::string_view key,
+                         const std::vector<std::string>& items) {
+    os << ",\"" << key << "\":[";
+    for (size_t i = 0; i < items.size(); ++i) {
+      os << (i > 0 ? ",\n" : "\n") << items[i];
+    }
+    os << "\n]";
+  }
+
   static bool ReportWrite(std::ofstream& os, const std::string& path) {
     os.flush();
     if (!os) {
@@ -232,10 +303,69 @@ class BenchObsSink {
 
   BenchIo io_;
   std::vector<std::string> config_json_;
+  std::vector<std::string> table_json_;
+  std::vector<std::pair<std::string, std::string>> extra_json_;
   std::ostringstream trace_events_;
   std::ostringstream csv_rows_;
   bool trace_first_ = true;
 };
+
+// The one entry point of every bench except bench_ablation_gates. Parses
+// argv for a bench with `modes`; a bad argument prints the error and the
+// usage block and returns kBenchUsageError. Otherwise runs `run(sink)`
+// (returning void or an exit code) and writes the requested files.
+// Returns the process exit code.
+template <typename Run>
+int BenchMain(int argc, const char* const* argv, std::string_view bench_name, uint32_t modes,
+              Run run) {
+  BenchIo io;
+  if (std::string error = BenchIo::Parse(argc, argv, modes, &io); !error.empty()) {
+    std::cerr << "error: " << error << "\n" << kBenchUsage;
+    return kBenchUsageError;
+  }
+  BenchObsSink sink(std::move(io));
+  int rc = 0;
+  if constexpr (std::is_void_v<std::invoke_result_t<Run&, BenchObsSink&>>) {
+    run(sink);
+  } else {
+    rc = run(sink);
+  }
+  if (rc == kBenchUsageError) {
+    return rc;
+  }
+  return sink.Write(bench_name) ? rc : 1;
+}
+
+// The one thread-invariance check: runs `run(threads)`, which returns the
+// run's determinism hash, at each count in order. Prints the per-count
+// hashes on one line, then an OK line or one FAIL line naming the first
+// count whose hash differs from the first count's. Returns true on pass.
+template <typename Run>
+bool CheckThreadInvariant(std::string_view label, const std::vector<uint32_t>& thread_counts,
+                          Run run) {
+  std::vector<uint64_t> hashes;
+  for (uint32_t threads : thread_counts) {
+    hashes.push_back(run(threads));
+  }
+  std::cout << "determinism: " << label << " hash at --threads";
+  for (size_t i = 0; i < thread_counts.size(); ++i) {
+    std::cout << (i > 0 ? "/" : " ") << thread_counts[i];
+  }
+  std::cout << ":" << std::hex;
+  for (uint64_t h : hashes) {
+    std::cout << " 0x" << h;
+  }
+  std::cout << std::dec << "\n";
+  for (size_t i = 1; i < hashes.size(); ++i) {
+    if (hashes[i] != hashes[0]) {
+      std::cout << "FAIL: " << label << " hash at --threads=" << thread_counts[i]
+                << " differs from --threads=" << thread_counts[0] << "\n";
+      return false;
+    }
+  }
+  std::cout << "determinism: OK (" << label << " hash bit-identical at every thread count)\n";
+  return true;
+}
 
 }  // namespace cki
 

@@ -189,7 +189,7 @@ void ReportTable::PrintJson(std::ostream& os) const {
       if (i > 0) {
         os << ",";
       }
-      os << (i < rows_[r].values.size() ? rows_[r].values[i] : 0.0);
+      WriteJsonNumber(os, i < rows_[r].values.size() ? rows_[r].values[i] : 0.0);
     }
     os << "]}";
   }

@@ -47,6 +47,7 @@ class ReportTable {
   // Emits the same row/column model as one JSON object:
   //   {"title":..,"row_header":..,"columns":[..],
   //    "rows":[{"label":..,"values":[..]},..]}
+  // Values are written in shortest round-trip form (non-finite as null).
   void PrintJson(std::ostream& os) const;
 
   const std::vector<std::string>& columns() const { return columns_; }

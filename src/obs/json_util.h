@@ -1,50 +1,22 @@
-// Minimal JSON helpers for the observability exporters and their tests:
-// escaped string emission, and a small recursive-descent parser used to
-// validate that emitted documents (metrics dumps, Chrome traces) are
-// well-formed and to read values back in golden tests. Not a general JSON
-// library — no external dependencies is the point.
+// JSON emission helpers for the observability exporters: escaped strings
+// and round-trip numbers. Reading JSON back is a test-only concern
+// (tests/json_parse.h). No external dependencies is the point.
 //
-// Thread-safety: all functions are pure/re-entrant (no shared state); a
-// JsonValue is a plain value type owned by whoever parsed it and safe to
-// share read-only across threads.
+// Thread-safety: pure functions with no shared state.
 #ifndef SRC_OBS_JSON_UTIL_H_
 #define SRC_OBS_JSON_UTIL_H_
 
-#include <optional>
 #include <ostream>
-#include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 namespace cki {
 
 // Writes `s` as a quoted JSON string, escaping control and quote chars.
 void WriteJsonString(std::ostream& os, std::string_view s);
 
-// Parsed JSON value (tree of variants).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool bool_value = false;
-  double number = 0;
-  std::string string_value;
-  std::vector<JsonValue> items;                              // kArray
-  std::vector<std::pair<std::string, JsonValue>> members;    // kObject
-
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-  bool is_number() const { return kind == Kind::kNumber; }
-  bool is_string() const { return kind == Kind::kString; }
-
-  // Object member lookup; nullptr when absent or not an object.
-  const JsonValue* Find(std::string_view key) const;
-};
-
-// Parses a complete JSON document. Returns nullopt (and sets `error` if
-// given) on malformed input or trailing garbage.
-std::optional<JsonValue> ParseJson(std::string_view text, std::string* error = nullptr);
+// Writes `v` in its shortest round-trip form; NaN and infinities, which
+// JSON cannot represent, become null.
+void WriteJsonNumber(std::ostream& os, double v);
 
 }  // namespace cki
 

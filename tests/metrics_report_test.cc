@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "src/metrics/report.h"
-#include "src/obs/json_util.h"
+#include "tests/json_parse.h"
 
 namespace cki {
 namespace {

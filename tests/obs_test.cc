@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/obs/histogram.h"
-#include "src/obs/json_util.h"
 #include "src/obs/slo_window.h"
 #include "src/obs/trace_context.h"
 #include "src/obs/trace_export.h"
@@ -18,6 +17,7 @@
 #include "src/runtime/runtime.h"
 #include "src/sim/seed_split.h"
 #include "src/sim/stats.h"
+#include "tests/json_parse.h"
 
 namespace cki {
 namespace {
