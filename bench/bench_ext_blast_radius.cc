@@ -77,7 +77,7 @@ DisturbedResult RunPoint(const BenchConfig& config, bool kill_victim,
   ContainerEngine& victim = *engines.front();
 
   SimNanos observed_from = ctx.clock().now();
-  ctx.obs().Enable();
+  sink.EnableHub(ctx.obs());
   ctx.obs().set_owner(0);
   DisturbedResult out;
   for (int round = 0; round < kRounds; ++round) {
@@ -159,7 +159,7 @@ ChaosTrace RunChaos(const BenchConfig& config, BenchObsSink& sink,
   }
 
   SimNanos observed_from = ctx.clock().now();
-  ctx.obs().Enable();
+  sink.EnableHub(ctx.obs());
   ctx.obs().set_owner(0);
   for (int round = 0; round < kChaosRounds; ++round) {
     for (int i = 0; i < kContainers; ++i) {

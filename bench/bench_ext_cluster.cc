@@ -69,9 +69,8 @@ SweepPoint RunPoint(const BenchConfig& config, int concurrency, BenchObsSink& si
   // feed both the per-hop table and the consistency check below.
   SimContext& ctx = machine.ctx();
   SimNanos observed_from = ctx.clock().now();
-  ctx.obs().Enable();
+  sink.EnableHub(ctx.obs());
   ctx.obs().set_owner(0);
-  ctx.obs().set_sample_every(sink.io().sample_every);
   ChainConfig chain{.concurrency = concurrency, .total_requests = kRequests};
   SweepPoint point;
   point.result = RunServiceChain(*proxy, *backend, chain);
@@ -201,13 +200,11 @@ int Run(BenchObsSink& sink) {
 // request renders as one Perfetto flow crossing them.
 int RunMigration(BenchObsSink& sink) {
   constexpr uint16_t kService = 6379;
-  const uint32_t sample_every = sink.io().sample_every;
 
   // --- machine A: serve one traced request halfway, checkpoint ------------
   Machine a(MachineConfigFor(RuntimeKind::kCki, Deployment::kBareMetal));
   SimContext& ctx_a = a.ctx();
-  ctx_a.obs().Enable();
-  ctx_a.obs().set_sample_every(sample_every);
+  sink.EnableHub(ctx_a.obs());
   std::unique_ptr<ContainerEngine> backend = MakeEngine(a, RuntimeKind::kCki);
   backend->Boot();
   VSwitch sw_a(ctx_a);
@@ -240,8 +237,7 @@ int RunMigration(BenchObsSink& sink) {
   // --- machine B: restore, reconnect, answer ------------------------------
   Machine b(MachineConfigFor(RuntimeKind::kCki, Deployment::kBareMetal));
   SimContext& ctx_b = b.ctx();
-  ctx_b.obs().Enable();
-  ctx_b.obs().set_sample_every(sample_every);
+  sink.EnableHub(ctx_b.obs());
   RestoreOutcome restored = RestoreContainer(b, image);
   if (!restored.ok) {
     std::cerr << "FAIL: migration: restore on machine B failed\n";

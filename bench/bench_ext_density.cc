@@ -29,11 +29,11 @@ constexpr int kContainersPerShard = 8;
 
 // Boots one batch of containers on a fresh machine and records per-boot
 // latency + frame footprint into the shard's metrics.
-ShardResult RunShard(RuntimeKind kind, const ShardTask& task, bool observe) {
+ShardResult RunShard(RuntimeKind kind, const ShardTask& task, const BenchObsSink& sink) {
   ShardResult r;
   Machine machine(MachineConfigFor(kind, Deployment::kBareMetal));
-  if (observe) {
-    machine.ctx().obs().Enable();
+  if (sink.active()) {
+    sink.EnableHub(machine.ctx().obs());
   }
   {
     std::vector<std::unique_ptr<ContainerEngine>> engines;
@@ -87,7 +87,7 @@ void Run(BenchObsSink& sink) {
   for (RuntimeKind kind : {RuntimeKind::kRunc, RuntimeKind::kHvm, RuntimeKind::kPvm,
                            RuntimeKind::kGvisor, RuntimeKind::kLibOs, RuntimeKind::kCki}) {
     ClusterResult result = cluster.Run(
-        [kind, &sink](const ShardTask& task) { return RunShard(kind, task, sink.active()); });
+        [kind, &sink](const ShardTask& task) { return RunShard(kind, task, sink); });
     MetricsRegistry merged = result.MergedMetrics();
     const Histogram* boots = merged.FindHist("density/boot_ns");
     double containers = static_cast<double>(merged.CounterValue("density/containers"));

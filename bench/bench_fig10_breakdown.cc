@@ -28,7 +28,7 @@ FaultBreakdown MeasureFault(RuntimeKind kind, Deployment dep, std::string_view l
   // Observe only the measured region: boot and warmup stay out of the span
   // tree, so the profiler's root total equals the measured latency.
   if (sink.active()) {
-    bed.ctx().obs().Enable();
+    sink.EnableHub(bed.ctx().obs());
     bed.ctx().obs().set_owner(bed.engine().id());
   }
   // Measure total, then re-measure the pure handler share on a RunC bed
@@ -67,7 +67,7 @@ SimNanos SyscallNs(RuntimeKind kind, std::string_view label, BenchObsSink& sink)
   bed.engine().UserSyscall(SyscallRequest{.no = Sys::kGetpid});
   constexpr int kIters = 128;
   if (sink.active()) {
-    bed.ctx().obs().Enable();
+    sink.EnableHub(bed.ctx().obs());
     bed.ctx().obs().set_owner(bed.engine().id());
   }
   SimNanos total = bed.Measure([&] {

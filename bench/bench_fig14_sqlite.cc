@@ -85,9 +85,8 @@ void RunBlkfs(BenchObsSink& sink) {
     Blkfs fs(bed.engine(), store, image, spec);
 
     if (sink.active()) {
-      bed.ctx().obs().Enable();
+      sink.EnableHub(bed.ctx().obs());
       bed.ctx().obs().set_owner(bed.engine().id());
-      bed.ctx().obs().set_sample_every(sink.io().sample_every);
     }
     SimNanos t0 = bed.ctx().clock().now();
     BlkfsCounters before = fs.counters();

@@ -28,7 +28,7 @@ void RunKind(KvKind kind, const char* title, const char* tag, BenchObsSink& sink
     for (int clients : client_counts) {
       Testbed bed(config.kind, config.deployment);
       if (sink.active()) {
-        bed.ctx().obs().Enable();
+        sink.EnableHub(bed.ctx().obs());
         bed.ctx().obs().set_owner(bed.engine().id());
       }
       KvConfig kv{.kind = kind, .clients = clients, .total_requests = 4000};

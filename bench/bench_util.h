@@ -199,6 +199,13 @@ class BenchObsSink {
   bool active() const { return io_.observing(); }
   const BenchIo& io() const { return io_; }
 
+  // Enables `obs` at the --sample-every rate. Every bench hub that honours
+  // the flag is turned on here, so the flag cannot be silently dropped.
+  void EnableHub(Observability& obs) const {
+    obs.Enable();
+    obs.set_sample_every(io_.sample_every);
+  }
+
   // Captures one configuration after its measured region: `total_ns` is the
   // raw end-to-end simulated time of the measured region; `obs` holds the
   // spans/metrics/records collected during it.

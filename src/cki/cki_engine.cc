@@ -16,7 +16,6 @@ CkiEngine::CkiEngine(Machine& machine, CkiAblation ablation, uint64_t segment_pa
       segment_pages_(segment_pages),
       n_vcpus_(n_vcpus < 1 ? 1 : n_vcpus) {
   AllocPcids(256);
-  fast_touch_ = true;  // DoUserTouch prologue is the canonical hit sequence
   if (!machine.cpu().extensions().pks_priv_gating) {
     throw FatalHostError(
         "CkiEngine requires a machine with the CKI hardware extensions");
@@ -119,63 +118,47 @@ SyscallResult CkiEngine::DoUserSyscall(const SyscallRequest& req) {
   return result;
 }
 
-TouchResult CkiEngine::DoUserTouch(uint64_t va, bool write) {
-  TraceScope obs_scope(ctx_, id_, "touch");
+TouchStep CkiEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
   Cpu& cpu = machine_.cpu();
-  cpu.set_cpl(Cpl::kUser);
-  AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
   const CostModel& c = ctx_.cost();
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    Fault f = cpu.Access(va, intent);
-    if (!f) {
-      return TouchResult::kOk;
-    }
-    if (f.type == FaultType::kPageKeyViolation) {
-      // A PKS trap in a deprivileged guest means the guest kernel tried to
-      // cross its key boundary: container-fatal, host keeps running.
-      machine_.faults().Raise(FaultReport{FaultKind::kPksTrap, id_, va});
-    }
-    if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
-      return TouchResult::kSegv;
-    }
-    // Direct delivery into the guest kernel (PKRS stays PKRS_GUEST; the
-    // IDT entry for #PF needs no PKS switch).
-    TraceScope fault_scope(ctx_, "fault");
-    ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
-    cpu.set_cpl(Cpl::kKernel);
-    if (ablation_ == CkiAblation::kNoOpt2) {
-      // Separate guest-kernel page table: exceptions pay the switch too.
-      ctx_.Charge(c.Cr3SwitchMitigated(), PathEvent::kCr3Switch);
-    }
-    in_fault_ = true;
-    ksm_open_ = false;
-    bool resolved = kernel_->HandlePageFault(va, write);
-    // Exit: the final iret is a KSM operation. When the fault handler
-    // already entered the KSM for its PTE update, the iret rides the same
-    // gate crossing (extended iret restores PKRS on the way out).
-    if (ksm_open_) {
-      ctx_.ChargeWork(c.ksm_iret_work + c.iret_native);
-      ksm_->IretToUser();
-      ksm_open_ = false;
-    } else {
-      gates_->EnterKsm();
-      ctx_.ChargeWork(c.ksm_iret_work + c.iret_native);
-      ksm_->IretToUser();  // iret restores PKRS_GUEST; no exit wrpkrs
-    }
-    in_fault_ = false;
-    if (ablation_ == CkiAblation::kNoOpt2) {
-      ctx_.Charge(c.Cr3SwitchMitigated(), PathEvent::kCr3Switch);
-    }
-    cpu.set_cpl(Cpl::kUser);
-    if (!resolved) {
-      return TouchResult::kSegv;
-    }
+  if (f.type == FaultType::kPageKeyViolation) {
+    // A PKS trap in a deprivileged guest means the guest kernel tried to
+    // cross its key boundary: container-fatal, host keeps running.
+    machine_.faults().Raise(FaultReport{FaultKind::kPksTrap, id_, va});
   }
-  return TouchResult::kSegv;
-}
-
-uint64_t CkiEngine::DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
-  return Hypercall(op, a0, a1);
+  if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
+    return TouchStep::kSegv;
+  }
+  // Direct delivery into the guest kernel (PKRS stays PKRS_GUEST; the
+  // IDT entry for #PF needs no PKS switch).
+  TraceScope fault_scope(ctx_, "fault");
+  ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
+  cpu.set_cpl(Cpl::kKernel);
+  if (ablation_ == CkiAblation::kNoOpt2) {
+    // Separate guest-kernel page table: exceptions pay the switch too.
+    ctx_.Charge(c.Cr3SwitchMitigated(), PathEvent::kCr3Switch);
+  }
+  in_fault_ = true;
+  ksm_open_ = false;
+  bool resolved = kernel_->HandlePageFault(va, write);
+  // Exit: the final iret is a KSM operation. When the fault handler
+  // already entered the KSM for its PTE update, the iret rides the same
+  // gate crossing (extended iret restores PKRS on the way out).
+  if (ksm_open_) {
+    ctx_.ChargeWork(c.ksm_iret_work + c.iret_native);
+    ksm_->IretToUser();
+    ksm_open_ = false;
+  } else {
+    gates_->EnterKsm();
+    ctx_.ChargeWork(c.ksm_iret_work + c.iret_native);
+    ksm_->IretToUser();  // iret restores PKRS_GUEST; no exit wrpkrs
+  }
+  in_fault_ = false;
+  if (ablation_ == CkiAblation::kNoOpt2) {
+    ctx_.Charge(c.Cr3SwitchMitigated(), PathEvent::kCr3Switch);
+  }
+  cpu.set_cpl(Cpl::kUser);
+  return resolved ? TouchStep::kRetry : TouchStep::kSegv;
 }
 
 void CkiEngine::OnKill() {

@@ -104,8 +104,7 @@ class CkiEngine : public ContainerEngine {
 
  protected:
   SyscallResult DoUserSyscall(const SyscallRequest& req) override;
-  TouchResult DoUserTouch(uint64_t va, bool write) override;
-  uint64_t DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
+  TouchStep OnTouchFault(const Fault& f, uint64_t va, bool write) override;
   void OnKill() override;
 
  private:

@@ -10,6 +10,13 @@
 //               PTE emulation       root switch
 //   CKI         KSM call checked    KSM call validating   switcher (PKS +
 //               by the PTP monitor  the declared root     CR3, no L0)
+//
+// ContainerEngine (src/runtime/engine.h) implements the page-table and
+// physical-memory hooks once for identity-mapped designs (guest PA == host
+// PA, native PTE store, host frame allocator, invlpg). RunC, gVisor and
+// LibOS use those defaults; HVM, PVM and CKI override them. How a user
+// fault reaches the guest kernel is not part of this seam: each engine's
+// OnTouchFault hook delivers it from ContainerEngine's shared touch loop.
 #ifndef SRC_GUEST_ENGINE_PORT_H_
 #define SRC_GUEST_ENGINE_PORT_H_
 

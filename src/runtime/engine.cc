@@ -72,7 +72,20 @@ TouchResult ContainerEngine::UserTouchSlow(uint64_t va, bool write) {
       machine_.faults().Raise(
           FaultReport{FaultKind::kPksTrap, id_, va});
     }
-    return DoUserTouch(va, write);
+    TraceScope obs_scope(ctx_, id_, "touch");
+    Cpu& cpu = machine_.cpu();
+    cpu.set_cpl(Cpl::kUser);
+    AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
+    for (int attempt = 0; attempt < touch_attempts_; ++attempt) {
+      Fault f = cpu.Access(va, intent);
+      if (!f) {
+        return TouchResult::kOk;
+      }
+      if (OnTouchFault(f, va, write) == TouchStep::kSegv) {
+        return TouchResult::kSegv;
+      }
+    }
+    return TouchResult::kSegv;
   } catch (const ContainerKilled& killed) {
     if (killed.owner() != id_) {
       throw;
@@ -86,7 +99,7 @@ uint64_t ContainerEngine::GuestHypercall(HypercallOp op, uint64_t a0, uint64_t a
     return 0;
   }
   try {
-    return DoGuestHypercall(op, a0, a1);
+    return Hypercall(op, a0, a1);
   } catch (const ContainerKilled& killed) {
     if (killed.owner() != id_) {
       throw;
@@ -101,6 +114,37 @@ uint64_t ContainerEngine::AdoptSharedFrame(uint64_t host_pa) {
   machine_.frames().ShareFrame(host_pa, id_);
   return host_pa;
 }
+
+uint64_t ContainerEngine::ReadPte(uint64_t pte_pa) { return machine_.mem().ReadU64(pte_pa); }
+
+bool ContainerEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
+  (void)level;
+  (void)va;
+  ctx_.Charge(ctx_.cost().pte_write_native, PathEvent::kPteUpdate);
+  machine_.mem().WriteU64(pte_pa, value);
+  return true;
+}
+
+uint64_t ContainerEngine::AllocDataPage() { return machine_.frames().AllocFrame(id_); }
+
+void ContainerEngine::FreeDataPage(uint64_t pa) {
+  if (ReleaseSharedDataFrame(pa)) {
+    return;  // clone-shared frame: the allocator kept it for siblings
+  }
+  machine_.frames().FreeFrame(pa);
+}
+
+uint64_t ContainerEngine::AllocPtp(int level) {
+  (void)level;
+  return machine_.frames().AllocFrame(id_);
+}
+
+void ContainerEngine::FreePtp(uint64_t pa, int level) {
+  (void)level;
+  machine_.frames().FreeFrame(pa);
+}
+
+void ContainerEngine::InvalidatePage(uint64_t va) { machine_.cpu().Invlpg(va); }
 
 bool ContainerEngine::FrameShared(uint64_t pa) const {
   uint64_t hpa = HostFrameFor(pa);

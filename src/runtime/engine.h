@@ -26,6 +26,9 @@ class SnapWriter;
 
 enum class TouchResult : uint8_t { kOk, kSegv, kKilled };
 
+// What an engine's fault hook tells the shared user-touch loop to do next.
+enum class TouchStep : uint8_t { kRetry, kSegv };
+
 // The evaluated container designs (lives here so engines can name their
 // own kind; runtime.h builds its factory over the same enum).
 enum class RuntimeKind : uint8_t {
@@ -41,8 +44,14 @@ enum class RuntimeKind : uint8_t {
 
 class ContainerEngine : public EnginePort {
  public:
-  explicit ContainerEngine(Machine& machine)
-      : machine_(machine), ctx_(machine.ctx()), id_(machine.AllocOwnerId()) {}
+  // `touch_attempts` bounds the user-touch loop (see UserTouch): 4 for
+  // single-stage designs; two-stage designs (HVM, PVM) pass 6, since a
+  // fresh page can fault in both stages before the access completes.
+  explicit ContainerEngine(Machine& machine, int touch_attempts = 4)
+      : machine_(machine),
+        ctx_(machine.ctx()),
+        id_(machine.AllocOwnerId()),
+        touch_attempts_(touch_attempts) {}
   ~ContainerEngine() override;
 
   ContainerEngine(const ContainerEngine&) = delete;
@@ -87,17 +96,21 @@ class ContainerEngine : public EnginePort {
   // A user-mode memory access, through the MMU; faults are carried through
   // the design's full delivery/handling/return path.
   //
-  // Clean-hit fast path (DESIGN.md §14): engines whose DoUserTouch
-  // prologue is exactly {touch scope, cpl := user, Access} opt in via
-  // fast_touch_. For those, a committed TLB hit with no fault is
-  // bit-identical to the full path whenever observability is disabled
-  // (the touch span is the only thing the full path would add, and a
-  // disabled hub records nothing). A live injector, a killed container,
-  // an enabled hub, a miss, or any fault falls through to the full
-  // wrapper — which re-runs the access from scratch, side effects
+  // The base class owns the touch loop: it opens the "touch" scope, sets
+  // cpl := user and retries Access; a clean access is kOk, a fault goes to
+  // the engine's OnTouchFault hook. After `touch_attempts` faulting
+  // accesses the touch is a segv.
+  //
+  // Clean-hit fast path (DESIGN.md §14): because every engine shares that
+  // {touch scope, cpl := user, Access} prologue, a committed TLB hit with
+  // no fault is bit-identical to the full path whenever observability is
+  // disabled (the touch span is the only thing the full path would add,
+  // and a disabled hub records nothing). A live injector, a killed
+  // container, an enabled hub, a miss, or any fault falls through to the
+  // full path — which re-runs the access from scratch, side effects
   // untouched (TryUserTouchFast commits nothing on failure).
   TouchResult UserTouch(uint64_t va, bool write) {
-    if (fast_touch_ && !killed_ && injector_ == nullptr && !ctx_.obs().enabled()) {
+    if (!killed_ && injector_ == nullptr && !ctx_.obs().enabled()) {
       Cpu& cpu = machine_.cpu();
       cpu.set_cpl(Cpl::kUser);
       if (cpu.TryUserTouchFast(va, write ? AccessIntent::Write() : AccessIntent::Read())) {
@@ -108,7 +121,8 @@ class ContainerEngine : public EnginePort {
   }
 
   // A guest-kernel-level request to the host (the "empty hypercall" of the
-  // microbenchmarks). RunC has no hypervisor, so its engine returns 0 cost.
+  // microbenchmarks), through the engine's EnginePort::Hypercall. RunC has
+  // no hypervisor, so its engine returns 0 cost.
   uint64_t GuestHypercall(HypercallOp op, uint64_t a0 = 0, uint64_t a1 = 0);
 
   // --- virtio path primitives (I/O workloads) -------------------------------
@@ -149,7 +163,21 @@ class ContainerEngine : public EnginePort {
   // fresh gPA wired to the shared host frame.
   virtual uint64_t AdoptSharedFrame(uint64_t host_pa);
 
-  // --- EnginePort (CoW sharing; see engine_port.h) ----------------------
+  // --- EnginePort -------------------------------------------------------
+  // Identity-mapped defaults (the guest-visible PA is the host PA), used
+  // as-is by RunC, gVisor and LibOS: native PTE reads and charged stores,
+  // data pages and page-table pages straight from the host allocator, and
+  // invlpg. CKI, HVM and PVM override them with their own mechanism;
+  // LibOS overrides InvalidatePage only.
+  uint64_t ReadPte(uint64_t pte_pa) override;
+  bool StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) override;
+  uint64_t AllocDataPage() override;
+  void FreeDataPage(uint64_t pa) override;
+  uint64_t AllocPtp(int level) override;
+  void FreePtp(uint64_t pa, int level) override;
+  void InvalidatePage(uint64_t va) override;
+
+  // CoW sharing; see engine_port.h.
   bool FrameShared(uint64_t pa) const override;
   void CowBreakShootdown(uint64_t va) override;
 
@@ -160,10 +188,12 @@ class ContainerEngine : public EnginePort {
   // it into any free list.
   bool ReleaseSharedDataFrame(uint64_t pa);
 
-  // Design-specific implementations behind the fault-domain wrappers.
+  // Design-specific syscall path behind the fault-domain wrapper.
   virtual SyscallResult DoUserSyscall(const SyscallRequest& req) = 0;
-  virtual TouchResult DoUserTouch(uint64_t va, bool write) = 0;
-  virtual uint64_t DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) = 0;
+  // Handles fault `f` of the user touch of `va` the way this design
+  // delivers it: kRetry re-runs the access, kSegv ends the touch. Runs
+  // with cpl == user and must leave it so on kRetry.
+  virtual TouchStep OnTouchFault(const Fault& f, uint64_t va, bool write) = 0;
 
   // Engine-specific teardown run first on a kill (drop monitor state,
   // shadow roots, ...). Must not call back into guest code.
@@ -183,17 +213,14 @@ class ContainerEngine : public EnginePort {
   uint16_t pcid_base_ = 0;
   uint16_t pcid_count_ = 0;
   FaultInjector* injector_ = nullptr;
-  // Opt-in for the clean-hit touch fast path (see UserTouch). An engine
-  // may set this ONLY if its DoUserTouch does nothing on a no-fault hit
-  // beyond the canonical {touch scope, cpl := user, Access} sequence.
-  bool fast_touch_ = false;
 
  private:
-  // The full fault-domain path: injector hook, DoUserTouch dispatch,
-  // ContainerKilled unwind. Every touch took this route before the
-  // fast path existed; misses and faults still do.
+  // The full fault-domain path: injector hook, the touch loop with its
+  // OnTouchFault dispatch, ContainerKilled unwind. Misses and faults take
+  // this route.
   TouchResult UserTouchSlow(uint64_t va, bool write);
 
+  const int touch_attempts_;
   bool killed_ = false;
 };
 

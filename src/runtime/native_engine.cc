@@ -6,7 +6,6 @@ namespace cki {
 
 NativeEngine::NativeEngine(Machine& machine) : ContainerEngine(machine) {
   AllocPcids(256);
-  fast_touch_ = true;  // DoUserTouch prologue is the canonical hit sequence
 }
 
 SyscallResult NativeEngine::DoUserSyscall(const SyscallRequest& req) {
@@ -22,39 +21,19 @@ SyscallResult NativeEngine::DoUserSyscall(const SyscallRequest& req) {
   return result;
 }
 
-TouchResult NativeEngine::DoUserTouch(uint64_t va, bool write) {
-  TraceScope obs_scope(ctx_, id_, "touch");
+TouchStep NativeEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
   Cpu& cpu = machine_.cpu();
-  cpu.set_cpl(Cpl::kUser);
-  AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    Fault f = cpu.Access(va, intent);
-    if (!f) {
-      return TouchResult::kOk;
-    }
-    if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
-      return TouchResult::kSegv;
-    }
-    // Native fault: delivery straight into the kernel handler, iret back.
-    TraceScope fault_scope(ctx_, "fault");
-    ctx_.Charge(ctx_.cost().fault_delivery, PathEvent::kPageFault);
-    cpu.set_cpl(Cpl::kKernel);
-    bool resolved = kernel_->HandlePageFault(va, write);
-    ctx_.ChargeWork(ctx_.cost().iret_native);
-    cpu.set_cpl(Cpl::kUser);
-    if (!resolved) {
-      return TouchResult::kSegv;
-    }
+  if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
+    return TouchStep::kSegv;
   }
-  return TouchResult::kSegv;
-}
-
-uint64_t NativeEngine::DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
-  // No hypervisor below an OS-level container; the operation is a no-op.
-  (void)op;
-  (void)a0;
-  (void)a1;
-  return 0;
+  // Native fault: delivery straight into the kernel handler, iret back.
+  TraceScope fault_scope(ctx_, "fault");
+  ctx_.Charge(ctx_.cost().fault_delivery, PathEvent::kPageFault);
+  cpu.set_cpl(Cpl::kKernel);
+  bool resolved = kernel_->HandlePageFault(va, write);
+  ctx_.ChargeWork(ctx_.cost().iret_native);
+  cpu.set_cpl(Cpl::kUser);
+  return resolved ? TouchStep::kRetry : TouchStep::kSegv;
 }
 
 SimNanos NativeEngine::KickCost() const {
@@ -64,35 +43,6 @@ SimNanos NativeEngine::KickCost() const {
 
 SimNanos NativeEngine::DeviceInterruptCost() const {
   return ctx_.cost().hw_interrupt_delivery;
-}
-
-uint64_t NativeEngine::ReadPte(uint64_t pte_pa) { return machine_.mem().ReadU64(pte_pa); }
-
-bool NativeEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
-  (void)level;
-  (void)va;
-  ctx_.Charge(ctx_.cost().pte_write_native, PathEvent::kPteUpdate);
-  machine_.mem().WriteU64(pte_pa, value);
-  return true;
-}
-
-uint64_t NativeEngine::AllocDataPage() { return machine_.frames().AllocFrame(id_); }
-
-void NativeEngine::FreeDataPage(uint64_t pa) {
-  if (ReleaseSharedDataFrame(pa)) {
-    return;  // clone-shared frame: the allocator kept it for siblings
-  }
-  machine_.frames().FreeFrame(pa);
-}
-
-uint64_t NativeEngine::AllocPtp(int level) {
-  (void)level;
-  return machine_.frames().AllocFrame(id_);
-}
-
-void NativeEngine::FreePtp(uint64_t pa, int level) {
-  (void)level;
-  machine_.frames().FreeFrame(pa);
 }
 
 uint64_t NativeEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
@@ -107,7 +57,5 @@ void NativeEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
   ctx_.Charge(ctx_.cost().cr3_write_raw, PathEvent::kCr3Switch);
   machine_.cpu().LoadCr3(MakeCr3(root_pa, static_cast<uint16_t>(pcid_base_ + (asid & 0xFF))));
 }
-
-void NativeEngine::InvalidatePage(uint64_t va) { machine_.cpu().Invlpg(va); }
 
 }  // namespace cki

@@ -44,40 +44,24 @@ SyscallResult GvisorEngine::DoUserSyscall(const SyscallRequest& req) {
   return result;
 }
 
-TouchResult GvisorEngine::DoUserTouch(uint64_t va, bool write) {
-  TraceScope obs_scope(ctx_, id_, "touch");
+TouchStep GvisorEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
   Cpu& cpu = machine_.cpu();
-  cpu.set_cpl(Cpl::kUser);
-  AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
   const CostModel& c = ctx_.cost();
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    Fault f = cpu.Access(va, intent);
-    if (!f) {
-      return TouchResult::kOk;
-    }
-    if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
-      return TouchResult::kSegv;
-    }
-    // The host kernel handles application page faults directly (the
-    // design's trick for avoiding shadow paging, sec 2.4.3); the Sentry
-    // only sees faults for ranges it has not host-mmapped yet, which our
-    // model folds into a small surcharge.
-    TraceScope fault_scope(ctx_, "fault");
-    ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
-    cpu.set_cpl(Cpl::kKernel);
-    ctx_.ChargeWork(kSentryHandlerExtra / 2);
-    bool resolved = kernel_->HandlePageFault(va, write);
-    ctx_.ChargeWork(c.iret_native);
-    cpu.set_cpl(Cpl::kUser);
-    if (!resolved) {
-      return TouchResult::kSegv;
-    }
+  if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
+    return TouchStep::kSegv;
   }
-  return TouchResult::kSegv;
-}
-
-uint64_t GvisorEngine::DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
-  return Hypercall(op, a0, a1);
+  // The host kernel handles application page faults directly (the
+  // design's trick for avoiding shadow paging, sec 2.4.3); the Sentry
+  // only sees faults for ranges it has not host-mmapped yet, which our
+  // model folds into a small surcharge.
+  TraceScope fault_scope(ctx_, "fault");
+  ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
+  cpu.set_cpl(Cpl::kKernel);
+  ctx_.ChargeWork(kSentryHandlerExtra / 2);
+  bool resolved = kernel_->HandlePageFault(va, write);
+  ctx_.ChargeWork(c.iret_native);
+  cpu.set_cpl(Cpl::kUser);
+  return resolved ? TouchStep::kRetry : TouchStep::kSegv;
 }
 
 uint64_t GvisorEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
@@ -110,37 +94,6 @@ SimNanos GvisorEngine::VirtioEmulationExtra() const {
   return kNetstackExtra;
 }
 
-uint64_t GvisorEngine::ReadPte(uint64_t pte_pa) { return machine_.mem().ReadU64(pte_pa); }
-
-bool GvisorEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
-  (void)level;
-  (void)va;
-  // The host kernel manages the real page tables (Sentry uses host mmap):
-  // native store.
-  ctx_.Charge(ctx_.cost().pte_write_native, PathEvent::kPteUpdate);
-  machine_.mem().WriteU64(pte_pa, value);
-  return true;
-}
-
-uint64_t GvisorEngine::AllocDataPage() { return machine_.frames().AllocFrame(id_); }
-
-void GvisorEngine::FreeDataPage(uint64_t pa) {
-  if (ReleaseSharedDataFrame(pa)) {
-    return;  // clone-shared frame: the allocator kept it for siblings
-  }
-  machine_.frames().FreeFrame(pa);
-}
-
-uint64_t GvisorEngine::AllocPtp(int level) {
-  (void)level;
-  return machine_.frames().AllocFrame(id_);
-}
-
-void GvisorEngine::FreePtp(uint64_t pa, int level) {
-  (void)level;
-  machine_.frames().FreeFrame(pa);
-}
-
 void GvisorEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
   // Sentry asks the host to switch stubs/address spaces: a host syscall.
   ctx_.Charge(ctx_.cost().mode_switch, PathEvent::kModeSwitch);
@@ -148,7 +101,5 @@ void GvisorEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
   machine_.cpu().LoadCr3(MakeCr3(root_pa, static_cast<uint16_t>(pcid_base_ + (asid & 0xFF))));
   ctx_.Charge(ctx_.cost().mode_switch, PathEvent::kModeSwitch);
 }
-
-void GvisorEngine::InvalidatePage(uint64_t va) { machine_.cpu().Invlpg(va); }
 
 }  // namespace cki

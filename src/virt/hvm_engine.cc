@@ -5,12 +5,13 @@
 
 namespace cki {
 
+// A fresh page typically needs both a guest #PF and then an EPT violation
+// on the retry; bound the touch loop defensively.
 HvmEngine::HvmEngine(Machine& machine)
-    : ContainerEngine(machine),
+    : ContainerEngine(machine, /*touch_attempts=*/6),
       ept_(machine.mem(),
            [this](int /*level*/) { return machine_.frames().AllocFrame(kHostOwner); }) {
   AllocPcids(256);
-  fast_touch_ = true;  // DoUserTouch prologue is the canonical hit sequence
 }
 
 void HvmEngine::Boot() {
@@ -114,51 +115,32 @@ SyscallResult HvmEngine::DoUserSyscall(const SyscallRequest& req) {
   return result;
 }
 
-TouchResult HvmEngine::DoUserTouch(uint64_t va, bool write) {
-  TraceScope obs_scope(ctx_, id_, "touch");
+TouchStep HvmEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
   Cpu& cpu = machine_.cpu();
-  cpu.set_cpl(Cpl::kUser);
-  AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
   const CostModel& c = ctx_.cost();
-  // A fresh page typically needs both a guest #PF and then an EPT
-  // violation on the retry; bound the loop defensively.
-  for (int attempt = 0; attempt < 6; ++attempt) {
-    Fault f = cpu.Access(va, intent);
-    if (!f) {
-      return TouchResult::kOk;
-    }
-    switch (f.type) {
-      case FaultType::kPageNotPresent:
-      case FaultType::kPageProtection: {
-        // Guest-internal fault: delivered and handled entirely in the L2
-        // guest kernel (slightly heavier than native, Fig 10a).
-        TraceScope fault_scope(ctx_, "fault");
-        ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
-        cpu.set_cpl(Cpl::kKernel);
-        ctx_.ChargeWork(c.hvm_guest_handler_extra);
-        if (nested()) {
-          ctx_.ChargeWork(c.hvm_nested_guest_handler_extra);
-        }
-        bool resolved = kernel_->HandlePageFault(va, write);
-        ctx_.ChargeWork(c.iret_native);
-        cpu.set_cpl(Cpl::kUser);
-        if (!resolved) {
-          return TouchResult::kSegv;
-        }
-        break;
+  switch (f.type) {
+    case FaultType::kPageNotPresent:
+    case FaultType::kPageProtection: {
+      // Guest-internal fault: delivered and handled entirely in the L2
+      // guest kernel (slightly heavier than native, Fig 10a).
+      TraceScope fault_scope(ctx_, "fault");
+      ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
+      cpu.set_cpl(Cpl::kKernel);
+      ctx_.ChargeWork(c.hvm_guest_handler_extra);
+      if (nested()) {
+        ctx_.ChargeWork(c.hvm_nested_guest_handler_extra);
       }
-      case FaultType::kEptViolation:
-        HandleEptViolation(f.va);
-        break;
-      default:
-        return TouchResult::kSegv;
+      bool resolved = kernel_->HandlePageFault(va, write);
+      ctx_.ChargeWork(c.iret_native);
+      cpu.set_cpl(Cpl::kUser);
+      return resolved ? TouchStep::kRetry : TouchStep::kSegv;
     }
+    case FaultType::kEptViolation:
+      HandleEptViolation(f.va);
+      return TouchStep::kRetry;
+    default:
+      return TouchStep::kSegv;
   }
-  return TouchResult::kSegv;
-}
-
-uint64_t HvmEngine::DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
-  return Hypercall(op, a0, a1);
 }
 
 void HvmEngine::OnKill() {

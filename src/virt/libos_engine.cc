@@ -43,32 +43,20 @@ SyscallResult LibOsEngine::DoUserSyscall(const SyscallRequest& req) {
   return kernel_->HandleSyscall(req);
 }
 
-TouchResult LibOsEngine::DoUserTouch(uint64_t va, bool write) {
-  TraceScope obs_scope(ctx_, id_, "touch");
+TouchStep LibOsEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
   Cpu& cpu = machine_.cpu();
-  cpu.set_cpl(Cpl::kUser);
-  AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
   const CostModel& c = ctx_.cost();
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    Fault f = cpu.Access(va, intent);
-    if (!f) {
-      return TouchResult::kOk;
-    }
-    if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
-      return TouchResult::kSegv;
-    }
-    // The unikernel process's faults are handled by the host kernel.
-    TraceScope fault_scope(ctx_, "fault");
-    ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
-    cpu.set_cpl(Cpl::kKernel);
-    bool resolved = kernel_->HandlePageFault(va, write);
-    ctx_.ChargeWork(c.iret_native);
-    cpu.set_cpl(Cpl::kUser);
-    if (!resolved) {
-      return TouchResult::kSegv;
-    }
+  if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
+    return TouchStep::kSegv;
   }
-  return TouchResult::kSegv;
+  // The unikernel process's faults are handled by the host kernel.
+  TraceScope fault_scope(ctx_, "fault");
+  ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
+  cpu.set_cpl(Cpl::kKernel);
+  bool resolved = kernel_->HandlePageFault(va, write);
+  ctx_.ChargeWork(c.iret_native);
+  cpu.set_cpl(Cpl::kUser);
+  return resolved ? TouchStep::kRetry : TouchStep::kSegv;
 }
 
 bool LibOsEngine::AppCanTouchLibOsState() {
@@ -79,10 +67,6 @@ bool LibOsEngine::AppCanTouchLibOsState() {
   // mapping, no protection boundary. It simply works — the weakness.
   Fault f = cpu.Access(kLibOsStateVa, AccessIntent::Write());
   return f.ok();
-}
-
-uint64_t LibOsEngine::DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
-  return Hypercall(op, a0, a1);
 }
 
 uint64_t LibOsEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
@@ -104,35 +88,6 @@ SimNanos LibOsEngine::KickCost() const {
 
 SimNanos LibOsEngine::DeviceInterruptCost() const {
   return ctx_.cost().hw_interrupt_delivery;
-}
-
-uint64_t LibOsEngine::ReadPte(uint64_t pte_pa) { return machine_.mem().ReadU64(pte_pa); }
-
-bool LibOsEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
-  (void)level;
-  (void)va;
-  ctx_.Charge(ctx_.cost().pte_write_native, PathEvent::kPteUpdate);
-  machine_.mem().WriteU64(pte_pa, value);
-  return true;
-}
-
-uint64_t LibOsEngine::AllocDataPage() { return machine_.frames().AllocFrame(id_); }
-
-void LibOsEngine::FreeDataPage(uint64_t pa) {
-  if (ReleaseSharedDataFrame(pa)) {
-    return;  // clone-shared frame: the allocator kept it for siblings
-  }
-  machine_.frames().FreeFrame(pa);
-}
-
-uint64_t LibOsEngine::AllocPtp(int level) {
-  (void)level;
-  return machine_.frames().AllocFrame(id_);
-}
-
-void LibOsEngine::FreePtp(uint64_t pa, int level) {
-  (void)level;
-  machine_.frames().FreeFrame(pa);
 }
 
 void LibOsEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {

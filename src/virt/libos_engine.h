@@ -31,21 +31,14 @@ class LibOsEngine : public ContainerEngine {
   // does — same address space, same privilege).
   bool AppCanTouchLibOsState();
 
-  // --- EnginePort ------------------------------------------------------
-  uint64_t ReadPte(uint64_t pte_pa) override;
-  bool StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) override;
-  uint64_t AllocDataPage() override;
-  void FreeDataPage(uint64_t pa) override;
-  uint64_t AllocPtp(int level) override;
-  void FreePtp(uint64_t pa, int level) override;
+  // --- EnginePort (page tables and frames: the identity defaults) -----
   uint64_t Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
   void LoadAddressSpace(uint64_t root_pa, uint16_t asid) override;
   void InvalidatePage(uint64_t va) override;
 
  protected:
   SyscallResult DoUserSyscall(const SyscallRequest& req) override;
-  TouchResult DoUserTouch(uint64_t va, bool write) override;
-  uint64_t DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
+  TouchStep OnTouchFault(const Fault& f, uint64_t va, bool write) override;
 
  private:
   // LibOS state page mapped user-accessible (the whole point of the test).

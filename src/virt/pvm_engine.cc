@@ -5,8 +5,10 @@
 
 namespace cki {
 
+// A fault can hit the guest table and then a stale shadow entry on the
+// retry; bound the touch loop like HVM's two-stage walk.
 PvmEngine::PvmEngine(Machine& machine)
-    : ContainerEngine(machine),
+    : ContainerEngine(machine, /*touch_attempts=*/6),
       shadow_editor_(machine.mem(),
                      [&machine](int /*level*/) { return machine.frames().AllocFrame(kHostOwner); },
                      [&machine](uint64_t pte_pa, uint64_t value, int, uint64_t) {
@@ -14,7 +16,6 @@ PvmEngine::PvmEngine(Machine& machine)
                        return true;
                      }) {
   AllocPcids(256);
-  fast_touch_ = true;  // DoUserTouch prologue is the canonical hit sequence
 }
 
 uint64_t PvmEngine::GuestPhysAlloc() {
@@ -125,53 +126,37 @@ SyscallResult PvmEngine::DoUserSyscall(const SyscallRequest& req) {
   return result;
 }
 
-TouchResult PvmEngine::DoUserTouch(uint64_t va, bool write) {
-  TraceScope obs_scope(ctx_, id_, "touch");
+TouchStep PvmEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
   Cpu& cpu = machine_.cpu();
-  cpu.set_cpl(Cpl::kUser);
-  AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
   const CostModel& c = ctx_.cost();
-  for (int attempt = 0; attempt < 6; ++attempt) {
-    Fault f = cpu.Access(va, intent);
-    if (!f) {
-      return TouchResult::kOk;
-    }
-    if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
-      return TouchResult::kSegv;
-    }
-    // Every fault first traps to the host kernel, which walks the guest
-    // page table to classify it (true guest fault vs stale shadow entry).
-    TraceScope fault_scope(ctx_, "fault");
-    ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
-    cpu.set_cpl(Cpl::kKernel);
-    uint64_t guest_root = kernel_->current().pt_root;
-    WalkResult guest_walk = kernel_->editor().Walk(guest_root, va);
-    bool stale_shadow = !guest_walk.fault && (!f.was_write || PteWritable(guest_walk.leaf_pte));
-    if (stale_shadow) {
-      // The guest mapping exists; only the shadow entry is missing.
-      TraceScope fill_scope(ctx_, "spt/fill");
-      ctx_.Charge(c.spt_hidden_fill, PathEvent::kShadowPtUpdate);
-      SyncShadowLeaf(guest_root, va & ~(kPageSize - 1), guest_walk.leaf_pte);
-      cpu.set_cpl(Cpl::kUser);
-      continue;
-    }
-    // Redirect into the user-mode guest kernel (exception injection).
-    ChargePvmExit();
-    ctx_.ChargeWork(c.pvm_exception_inject);
-    ctx_.ChargeWork(c.pvm_guest_handler_extra);
-    bool resolved = kernel_->HandlePageFault(va, write);
-    // Return to the faulting application via the host kernel.
-    ChargePvmExit();
-    cpu.set_cpl(Cpl::kUser);
-    if (!resolved) {
-      return TouchResult::kSegv;
-    }
+  if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
+    return TouchStep::kSegv;
   }
-  return TouchResult::kSegv;
-}
-
-uint64_t PvmEngine::DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
-  return Hypercall(op, a0, a1);
+  // Every fault first traps to the host kernel, which walks the guest
+  // page table to classify it (true guest fault vs stale shadow entry).
+  TraceScope fault_scope(ctx_, "fault");
+  ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
+  cpu.set_cpl(Cpl::kKernel);
+  uint64_t guest_root = kernel_->current().pt_root;
+  WalkResult guest_walk = kernel_->editor().Walk(guest_root, va);
+  bool stale_shadow = !guest_walk.fault && (!f.was_write || PteWritable(guest_walk.leaf_pte));
+  if (stale_shadow) {
+    // The guest mapping exists; only the shadow entry is missing.
+    TraceScope fill_scope(ctx_, "spt/fill");
+    ctx_.Charge(c.spt_hidden_fill, PathEvent::kShadowPtUpdate);
+    SyncShadowLeaf(guest_root, va & ~(kPageSize - 1), guest_walk.leaf_pte);
+    cpu.set_cpl(Cpl::kUser);
+    return TouchStep::kRetry;
+  }
+  // Redirect into the user-mode guest kernel (exception injection).
+  ChargePvmExit();
+  ctx_.ChargeWork(c.pvm_exception_inject);
+  ctx_.ChargeWork(c.pvm_guest_handler_extra);
+  bool resolved = kernel_->HandlePageFault(va, write);
+  // Return to the faulting application via the host kernel.
+  ChargePvmExit();
+  cpu.set_cpl(Cpl::kUser);
+  return resolved ? TouchStep::kRetry : TouchStep::kSegv;
 }
 
 void PvmEngine::OnKill() {

@@ -1,7 +1,12 @@
 // Mechanism-level tests of the HVM and PVM engines: lazy EPT backing,
-// shadow-table consistency, batching, cold-fault accounting, and the
-// CKI engine's delegated-segment memory management.
+// shadow-table consistency, batching, cold-fault accounting, the CKI
+// engine's delegated-segment memory management, and the cross-engine
+// equivalence of the clean-hit touch fast path with the full path.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <string>
+#include <vector>
 
 #include "src/cki/cki_engine.h"
 #include "src/runtime/runtime.h"
@@ -218,6 +223,95 @@ INSTANTIATE_TEST_SUITE_P(Engines, NestedEquivalenceTest,
                          [](const ::testing::TestParamInfo<RuntimeKind>& param_info) {
                            return std::string(RuntimeKindName(param_info.param));
                          });
+
+// --- cross-engine property: the touch fast path equals the full path ----------
+
+// What one run of the touch script leaves behind.
+struct TouchScriptRun {
+  std::vector<TouchResult> results;
+  SimNanos clock = 0;
+  std::array<uint64_t, static_cast<size_t>(PathEvent::kCount)> events{};
+  uint64_t tlb_hits = 0;
+  uint64_t tlb_misses = 0;
+};
+
+// A fixed touch script: first-touch faults, re-touch hits, a CoW write after
+// fork (LibOS refuses the fork, so its writes stay hits), a touch of an
+// unmapped VA and a touch after a kill. With `observe` the hub is enabled,
+// so every touch takes the full path; without it, clean hits are eligible
+// for Cpu::TryUserTouchFast. Every kind deploys nested under the default
+// machine configuration, so the script runs on both deployments.
+TouchScriptRun RunTouchScript(RuntimeKind kind, Deployment deployment, bool observe) {
+  constexpr int kPages = 4;
+  constexpr uint64_t kUnmappedVa = 0x0000'3000'0000'0000;
+  Testbed bed(kind, deployment);
+  if (observe) {
+    bed.ctx().obs().Enable();
+  }
+  ContainerEngine& engine = bed.engine();
+  TouchScriptRun run;
+  auto touch_all = [&](uint64_t base, bool write) {
+    for (int i = 0; i < kPages; ++i) {
+      run.results.push_back(
+          engine.UserTouch(base + static_cast<uint64_t>(i) * kPageSize, write));
+    }
+  };
+  uint64_t base = engine.MmapAnon(kPages * kPageSize, false);
+  touch_all(base, /*write=*/true);   // first touch: faults
+  touch_all(base, /*write=*/false);  // re-touch: hits
+  touch_all(base, /*write=*/true);
+  engine.UserSyscall(SyscallRequest{.no = Sys::kFork});
+  touch_all(base, /*write=*/true);   // CoW break in the parent
+  touch_all(base, /*write=*/false);
+  run.results.push_back(engine.UserTouch(kUnmappedVa, /*write=*/false));
+  engine.KillFromFault();
+  run.results.push_back(engine.UserTouch(base, /*write=*/false));
+  run.clock = bed.ctx().clock().now();
+  run.events = bed.ctx().trace().Snapshot();
+  run.tlb_hits = bed.machine().cpu().tlb().hits();
+  run.tlb_misses = bed.machine().cpu().tlb().misses();
+  return run;
+}
+
+class TouchPathEquivalenceTest : public ::testing::TestWithParam<RuntimeKind> {};
+
+TEST_P(TouchPathEquivalenceTest, FastPathMatchesFullPath) {
+  for (Deployment deployment : {Deployment::kBareMetal, Deployment::kNested}) {
+    SCOPED_TRACE(deployment == Deployment::kNested ? "nested" : "bare metal");
+    TouchScriptRun fast = RunTouchScript(GetParam(), deployment, /*observe=*/false);
+    TouchScriptRun full = RunTouchScript(GetParam(), deployment, /*observe=*/true);
+    EXPECT_EQ(fast.results, full.results);
+    EXPECT_EQ(fast.clock, full.clock);
+    EXPECT_EQ(fast.events, full.events);
+    EXPECT_EQ(fast.tlb_hits, full.tlb_hits);
+    EXPECT_EQ(fast.tlb_misses, full.tlb_misses);
+
+    // The script reached every outcome it was written for.
+    ASSERT_EQ(fast.results.size(), 22u);
+    for (size_t i = 0; i < 20; ++i) {
+      EXPECT_EQ(fast.results[i], TouchResult::kOk) << "touch " << i;
+    }
+    EXPECT_EQ(fast.results[20], TouchResult::kSegv);
+    EXPECT_EQ(fast.results[21], TouchResult::kKilled);
+    EXPECT_GT(fast.tlb_hits, 0u);
+    EXPECT_GT(fast.events[static_cast<size_t>(PathEvent::kPageFault)], 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, TouchPathEquivalenceTest,
+    ::testing::Values(RuntimeKind::kRunc, RuntimeKind::kHvm, RuntimeKind::kPvm,
+                      RuntimeKind::kCki, RuntimeKind::kCkiNoOpt2, RuntimeKind::kCkiNoOpt3,
+                      RuntimeKind::kGvisor, RuntimeKind::kLibOs),
+    [](const ::testing::TestParamInfo<RuntimeKind>& param_info) {
+      std::string name(RuntimeKindName(param_info.param));
+      for (char& ch : name) {
+        if (ch == '-') {
+          ch = '_';
+        }
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace cki
