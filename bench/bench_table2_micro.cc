@@ -2,9 +2,12 @@
 // fault (cold: fresh memory incl. host backing allocation) and hypercall,
 // for RunC / HVM / PVM in bare-metal and nested deployments. CKI columns
 // are added for reference (the paper reports them in Fig 10 / sec 7.1).
+// A second table adds the two CKI gate primitives below Table 2 on the
+// crossing-cost ladder (sec 7.1): a PKS gate pair and a KSM call.
 #include <iostream>
 
 #include "bench/bench_util.h"
+#include "src/cki/cki_engine.h"
 #include "src/metrics/report.h"
 #include "src/virt/hvm_engine.h"
 #include "src/virt/pvm_engine.h"
@@ -53,6 +56,27 @@ SimNanos HypercallNs(Testbed& bed) {
   return total / kIters;
 }
 
+// One KSM entry and exit through the PKS gates, nothing in between.
+SimNanos PksGatePairNs() {
+  Testbed bed(RuntimeKind::kCki, Deployment::kBareMetal);
+  Gates& gates = static_cast<CkiEngine&>(bed.engine()).gates();
+  return bed.Measure([&] {
+    gates.EnterKsm();
+    gates.ExitKsm();
+  });
+}
+
+// One KSM call that updates a PTE: mprotect of a populated RW page to RW,
+// through the monitor-checked store.
+SimNanos KsmPteUpdateNs() {
+  Testbed bed(RuntimeKind::kCki, Deployment::kBareMetal);
+  uint64_t page = bed.engine().MmapAnon(kPageSize, true);
+  return bed.Measure([&] {
+    bed.engine().UserSyscall(SyscallRequest{
+        .no = Sys::kMprotect, .arg0 = page, .arg1 = kPageSize, .arg2 = kProtRead | kProtWrite});
+  });
+}
+
 void Run(BenchObsSink& sink) {
   ReportTable table("Table 2: microbenchmark latencies (ns)", "op",
                     {"RunC-BM", "HVM-BM", "PVM-BM", "CKI-BM", "HVM-NST", "PVM-NST", "CKI-NST"});
@@ -88,6 +112,11 @@ void Run(BenchObsSink& sink) {
   std::cout << "Paper (Table 2): syscall 93/91/336 (BM), 91/336 (NST); pgfault\n"
                "1000/4347/6727 (BM), 34050/7346 (NST); hypercall -/1088/466 (BM),\n"
                "6746/486 (NST). CKI (sec 7.1): syscall 90, pgfault 1067, hypercall 390.\n";
+
+  ReportTable ladder("Crossing ladder: CKI gate primitives (ns)", "op", {"CKI-BM"});
+  ladder.AddRow("PKS gate pair", {static_cast<double>(PksGatePairNs())});
+  ladder.AddRow("KSM call (mprotect PTE)", {static_cast<double>(KsmPteUpdateNs())});
+  sink.Print(ladder, 0);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Shared helpers for the per-figure/table benchmark binaries: the config
-// lists, and the one harness every bench except bench_ablation_gates
-// (google-benchmark, which parses its own flags) runs through — one flag
-// parser (BenchIo::Parse), one entry point (BenchMain), one result writer
+// lists, and the one harness every bench runs through — one flag parser
+// (BenchIo::Parse), one entry point (BenchMain), one result writer
 // (BenchObsSink) and one thread-invariance check (CheckThreadInvariant).
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
@@ -317,11 +316,10 @@ class BenchObsSink {
   bool trace_first_ = true;
 };
 
-// The one entry point of every bench except bench_ablation_gates. Parses
-// argv for a bench with `modes`; a bad argument prints the error and the
-// usage block and returns kBenchUsageError. Otherwise runs `run(sink)`
-// (returning void or an exit code) and writes the requested files.
-// Returns the process exit code.
+// The one entry point of every bench. Parses argv for a bench with
+// `modes`; a bad argument prints the error and the usage block and returns
+// kBenchUsageError. Otherwise runs `run(sink)` (returning void or an exit
+// code) and writes the requested files. Returns the process exit code.
 template <typename Run>
 int BenchMain(int argc, const char* const* argv, std::string_view bench_name, uint32_t modes,
               Run run) {

@@ -254,11 +254,6 @@ bool CkiEngine::DeliverHardwareInterrupt(uint8_t vector) {
   return ok;
 }
 
-uint64_t CkiEngine::ReadPte(uint64_t pte_pa) {
-  // PTPs are readable by the guest (read-only under pkey_PTP).
-  return machine_.mem().ReadU64(pte_pa);
-}
-
 bool CkiEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
   TraceScope obs_scope(ctx_, "ksm/store_pte");
   const CostModel& c = ctx_.cost();
@@ -377,8 +372,6 @@ void CkiEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
                                         static_cast<uint64_t>(v)});
   }
 }
-
-void CkiEngine::InvalidatePage(uint64_t va) { machine_.cpu().Invlpg(va); }
 
 void CkiEngine::SnapCaptureConfig(SnapWriter& w) const {
   w.PutU64(segment_pages_);

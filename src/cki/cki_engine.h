@@ -90,7 +90,6 @@ class CkiEngine : public ContainerEngine {
   uint64_t delivered_virqs() const { return delivered_virqs_; }
 
   // --- EnginePort ------------------------------------------------------
-  uint64_t ReadPte(uint64_t pte_pa) override;
   bool StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) override;
   void BeginPteBatch() override;
   void EndPteBatch() override;
@@ -100,7 +99,6 @@ class CkiEngine : public ContainerEngine {
   void FreePtp(uint64_t pa, int level) override;
   uint64_t Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
   void LoadAddressSpace(uint64_t root_pa, uint16_t asid) override;
-  void InvalidatePage(uint64_t va) override;
 
  protected:
   SyscallResult DoUserSyscall(const SyscallRequest& req) override;

@@ -94,6 +94,22 @@ TouchResult ContainerEngine::UserTouchSlow(uint64_t va, bool write) {
   }
 }
 
+TouchStep ContainerEngine::DeliverFaultNatively(const Fault& f, uint64_t va, bool write,
+                                                SimNanos handler_extra) {
+  Cpu& cpu = machine_.cpu();
+  if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
+    return TouchStep::kSegv;
+  }
+  TraceScope fault_scope(ctx_, "fault");
+  ctx_.Charge(ctx_.cost().fault_delivery, PathEvent::kPageFault);
+  cpu.set_cpl(Cpl::kKernel);
+  ctx_.ChargeWork(handler_extra);
+  bool resolved = kernel_->HandlePageFault(va, write);
+  ctx_.ChargeWork(ctx_.cost().iret_native);
+  cpu.set_cpl(Cpl::kUser);
+  return resolved ? TouchStep::kRetry : TouchStep::kSegv;
+}
+
 uint64_t ContainerEngine::GuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
   if (killed_) {
     return 0;

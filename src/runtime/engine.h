@@ -164,11 +164,13 @@ class ContainerEngine : public EnginePort {
   virtual uint64_t AdoptSharedFrame(uint64_t host_pa);
 
   // --- EnginePort -------------------------------------------------------
-  // Identity-mapped defaults (the guest-visible PA is the host PA), used
-  // as-is by RunC, gVisor and LibOS: native PTE reads and charged stores,
-  // data pages and page-table pages straight from the host allocator, and
-  // invlpg. CKI, HVM and PVM override them with their own mechanism;
-  // LibOS overrides InvalidatePage only.
+  // Identity-mapped defaults (the guest-visible PA is the host PA): native
+  // PTE reads and charged stores, data pages and page-table pages straight
+  // from the host allocator, and invlpg. RunC and gVisor use all of them.
+  // HVM and PVM override everything but InvalidatePage with their second
+  // translation stage; CKI overrides everything but ReadPte and
+  // InvalidatePage with its monitor (PTPs stay readable by the guest,
+  // read-only under pkey_PTP); LibOS overrides InvalidatePage only.
   uint64_t ReadPte(uint64_t pte_pa) override;
   bool StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) override;
   uint64_t AllocDataPage() override;
@@ -194,6 +196,12 @@ class ContainerEngine : public EnginePort {
   // delivers it: kRetry re-runs the access, kSegv ends the touch. Runs
   // with cpl == user and must leave it so on kRetry.
   virtual TouchStep OnTouchFault(const Fault& f, uint64_t va, bool write) = 0;
+  // Native fault delivery, the OnTouchFault of RunC, LibOS and gVisor: a
+  // not-present or protection fault goes straight into the kernel handler
+  // (after `handler_extra` of design-specific work) and irets back; any
+  // other fault is a segv.
+  TouchStep DeliverFaultNatively(const Fault& f, uint64_t va, bool write,
+                                 SimNanos handler_extra);
 
   // Engine-specific teardown run first on a kill (drop monitor state,
   // shadow roots, ...). Must not call back into guest code.

@@ -21,21 +21,6 @@ SyscallResult NativeEngine::DoUserSyscall(const SyscallRequest& req) {
   return result;
 }
 
-TouchStep NativeEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
-  Cpu& cpu = machine_.cpu();
-  if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
-    return TouchStep::kSegv;
-  }
-  // Native fault: delivery straight into the kernel handler, iret back.
-  TraceScope fault_scope(ctx_, "fault");
-  ctx_.Charge(ctx_.cost().fault_delivery, PathEvent::kPageFault);
-  cpu.set_cpl(Cpl::kKernel);
-  bool resolved = kernel_->HandlePageFault(va, write);
-  ctx_.ChargeWork(ctx_.cost().iret_native);
-  cpu.set_cpl(Cpl::kUser);
-  return resolved ? TouchStep::kRetry : TouchStep::kSegv;
-}
-
 SimNanos NativeEngine::KickCost() const {
   // The "device" is the host's own network stack: a function call.
   return 0;

@@ -26,7 +26,10 @@ class NativeEngine : public ContainerEngine {
 
  protected:
   SyscallResult DoUserSyscall(const SyscallRequest& req) override;
-  TouchStep OnTouchFault(const Fault& f, uint64_t va, bool write) override;
+  // Native fault: delivery straight into the kernel handler, iret back.
+  TouchStep OnTouchFault(const Fault& f, uint64_t va, bool write) override {
+    return DeliverFaultNatively(f, va, write, /*handler_extra=*/0);
+  }
 };
 
 }  // namespace cki

@@ -45,23 +45,11 @@ SyscallResult GvisorEngine::DoUserSyscall(const SyscallRequest& req) {
 }
 
 TouchStep GvisorEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
-  Cpu& cpu = machine_.cpu();
-  const CostModel& c = ctx_.cost();
-  if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
-    return TouchStep::kSegv;
-  }
   // The host kernel handles application page faults directly (the
   // design's trick for avoiding shadow paging, sec 2.4.3); the Sentry
   // only sees faults for ranges it has not host-mmapped yet, which our
   // model folds into a small surcharge.
-  TraceScope fault_scope(ctx_, "fault");
-  ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
-  cpu.set_cpl(Cpl::kKernel);
-  ctx_.ChargeWork(kSentryHandlerExtra / 2);
-  bool resolved = kernel_->HandlePageFault(va, write);
-  ctx_.ChargeWork(c.iret_native);
-  cpu.set_cpl(Cpl::kUser);
-  return resolved ? TouchStep::kRetry : TouchStep::kSegv;
+  return DeliverFaultNatively(f, va, write, kSentryHandlerExtra / 2);
 }
 
 uint64_t GvisorEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {

@@ -248,8 +248,6 @@ void HvmEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
   machine_.cpu().LoadCr3(MakeCr3(root_pa, static_cast<uint16_t>(pcid_base_ + (asid & 0xFF))));
 }
 
-void HvmEngine::InvalidatePage(uint64_t va) { machine_.cpu().Invlpg(va); }
-
 void HvmEngine::SnapCaptureConfig(SnapWriter& w) const {
   w.PutBool(cold_faults_);
   w.PutBool(ept_huge_pages_);

@@ -56,7 +56,6 @@ class HvmEngine : public ContainerEngine {
   void FreePtp(uint64_t pa, int level) override;
   uint64_t Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
   void LoadAddressSpace(uint64_t root_pa, uint16_t asid) override;
-  void InvalidatePage(uint64_t va) override;
 
  protected:
   SyscallResult DoUserSyscall(const SyscallRequest& req) override;

@@ -43,22 +43,6 @@ SyscallResult LibOsEngine::DoUserSyscall(const SyscallRequest& req) {
   return kernel_->HandleSyscall(req);
 }
 
-TouchStep LibOsEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
-  Cpu& cpu = machine_.cpu();
-  const CostModel& c = ctx_.cost();
-  if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
-    return TouchStep::kSegv;
-  }
-  // The unikernel process's faults are handled by the host kernel.
-  TraceScope fault_scope(ctx_, "fault");
-  ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
-  cpu.set_cpl(Cpl::kKernel);
-  bool resolved = kernel_->HandlePageFault(va, write);
-  ctx_.ChargeWork(c.iret_native);
-  cpu.set_cpl(Cpl::kUser);
-  return resolved ? TouchStep::kRetry : TouchStep::kSegv;
-}
-
 bool LibOsEngine::AppCanTouchLibOsState() {
   MapLibOsState();
   Cpu& cpu = machine_.cpu();

@@ -38,7 +38,10 @@ class LibOsEngine : public ContainerEngine {
 
  protected:
   SyscallResult DoUserSyscall(const SyscallRequest& req) override;
-  TouchStep OnTouchFault(const Fault& f, uint64_t va, bool write) override;
+  // The unikernel process's faults are handled by the host kernel.
+  TouchStep OnTouchFault(const Fault& f, uint64_t va, bool write) override {
+    return DeliverFaultNatively(f, va, write, /*handler_extra=*/0);
+  }
 
  private:
   // LibOS state page mapped user-accessible (the whole point of the test).

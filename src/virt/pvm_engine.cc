@@ -287,8 +287,6 @@ void PvmEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
       MakeCr3(shadow_root, static_cast<uint16_t>(pcid_base_ + (asid & 0xFF))));
 }
 
-void PvmEngine::InvalidatePage(uint64_t va) { machine_.cpu().Invlpg(va); }
-
 void PvmEngine::SnapCaptureConfig(SnapWriter& w) const { w.PutBool(cold_faults_); }
 
 void PvmEngine::SnapApplyConfig(SnapReader& r) { cold_faults_ = r.GetBool(); }

@@ -4,6 +4,9 @@
 // on these paths.
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "src/cki/cki_engine.h"
 #include "src/guest/process.h"
 #include "src/runtime/runtime.h"
 #include "src/virt/hvm_engine.h"
@@ -153,6 +156,60 @@ TEST(MicroHypercall, CkiIs390nsEverywhere) {
   Testbed nst(RuntimeKind::kCki, Deployment::kNested);
   ExpectNear(static_cast<double>(HypercallLatency(bm)), 390, "CKI-BM hypercall");
   ExpectNear(static_cast<double>(HypercallLatency(nst)), 390, "CKI-NST hypercall");
+}
+
+// --- crossing ladder (sec 7.1): exact simulated ns per op -------------------
+// The ladder every figure rests on, pinned exactly: the PKS gate pair and
+// the KSM PTE update (bench_table2_micro's ladder table) and the six
+// Table 2 cells they sit below. Each op costs the same from the first call.
+
+TEST(CrossingLadder, ExactNsPerOp) {
+  // `prepare` sets up a fresh testbed and returns the op to time.
+  using Op = std::function<void()>;
+  struct Rung {
+    const char* what;
+    RuntimeKind kind;
+    Deployment dep;
+    SimNanos ns;
+    Op (*prepare)(Testbed& bed);
+  };
+  const auto getpid = [](Testbed& bed) -> Op {
+    return [&bed] { bed.engine().UserSyscall(SyscallRequest{.no = Sys::kGetpid}); };
+  };
+  const auto hypercall = [](Testbed& bed) -> Op {
+    return [&bed] { bed.engine().GuestHypercall(HypercallOp::kNop); };
+  };
+  const Rung rungs[] = {
+      {"PKS gate pair", RuntimeKind::kCki, Deployment::kBareMetal, 70,
+       [](Testbed& bed) -> Op {
+         Gates& gates = static_cast<CkiEngine&>(bed.engine()).gates();
+         return [&gates] {
+           gates.EnterKsm();
+           gates.ExitKsm();
+         };
+       }},
+      {"KSM mprotect", RuntimeKind::kCki, Deployment::kBareMetal, 332,
+       [](Testbed& bed) -> Op {
+         uint64_t page = bed.engine().MmapAnon(kPageSize, true);
+         return [&bed, page] {
+           bed.engine().UserSyscall(SyscallRequest{
+               .no = Sys::kMprotect, .arg0 = page, .arg1 = kPageSize, .arg2 = kProtRead | kProtWrite});
+         };
+       }},
+      {"CKI hypercall", RuntimeKind::kCki, Deployment::kBareMetal, 390, hypercall},
+      {"PVM-BM exit", RuntimeKind::kPvm, Deployment::kBareMetal, 466, hypercall},
+      {"HVM-BM VM exit", RuntimeKind::kHvm, Deployment::kBareMetal, 1088, hypercall},
+      {"HVM-NST VM exit", RuntimeKind::kHvm, Deployment::kNested, 6746, hypercall},
+      {"CKI syscall", RuntimeKind::kCki, Deployment::kBareMetal, 90, getpid},
+      {"PVM syscall", RuntimeKind::kPvm, Deployment::kBareMetal, 336, getpid},
+  };
+  for (const Rung& rung : rungs) {
+    Testbed bed(rung.kind, rung.dep);
+    Op op = rung.prepare(bed);
+    for (int call = 0; call < 3; ++call) {
+      EXPECT_EQ(bed.Measure(op), rung.ns) << rung.what << ", call " << call;
+    }
+  }
 }
 
 // --- path composition (event counts, independent of latency) ----------------
