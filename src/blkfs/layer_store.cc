@@ -1,8 +1,9 @@
 #include "src/blkfs/layer_store.h"
 
-#include <cassert>
+#include <string>
 #include <utility>
 
+#include "src/fault/fault_domain.h"
 #include "src/host/machine.h"
 #include "src/sim/fnv.h"
 
@@ -24,7 +25,9 @@ int LayerStore::RegisterImage(std::vector<uint64_t> block_tags) {
 }
 
 int LayerStore::OpenView(int image_id, OwnerId owner) {
-  assert(image_id >= 0 && static_cast<size_t>(image_id) < images_.size());
+  if (image_id < 0 || static_cast<size_t>(image_id) >= images_.size()) {
+    throw FatalHostError("LayerStore::OpenView: no image " + std::to_string(image_id));
+  }
   int id = next_view_++;
   views_[id] = View{image_id, owner, {}};
   return id;
@@ -62,7 +65,10 @@ BlkResolution LayerStore::Resolve(int view_id, uint64_t block) const {
 uint64_t LayerStore::MaterializeBase(int view_id, uint64_t block, bool* fresh) {
   const View& view = views_.at(view_id);
   BlkImage& image = images_[static_cast<size_t>(view.image_id)];
-  assert(block < image.frames.size());
+  if (block >= image.frames.size()) {
+    throw FatalHostError("LayerStore::MaterializeBase: block " + std::to_string(block) +
+                         " past the base extent of " + std::to_string(image.frames.size()));
+  }
   if (image.frames[block] == kNoPage) {
     // Host-owned: survives any container kill; reclaimed only with the
     // machine. This is the single shared copy of the base block.

@@ -78,7 +78,7 @@ uint64_t CkiEngine::SegmentAlloc() {
 }
 
 void CkiEngine::ChargeKsmRoundtrip(SimNanos op_work) {
-  TraceScope obs_scope(ctx_, "ksm/roundtrip");
+  TraceScope obs_scope(ctx_, Phase::kKsmRoundtrip);
   gates_->EnterKsm();
   ctx_.ChargeWork(op_work);
   gates_->ExitKsm();
@@ -87,7 +87,7 @@ void CkiEngine::ChargeKsmRoundtrip(SimNanos op_work) {
 SyscallResult CkiEngine::DoUserSyscall(const SyscallRequest& req) {
   // Fast path: the guest kernel is reachable from user mode without host
   // intervention — same 90 ns as native (Fig 10b).
-  SyscallScope obs_scope(ctx_, id_, SysName(req.no));
+  SyscallScope obs_scope(ctx_, id_, req.no);
   Cpu& cpu = machine_.cpu();
   const CostModel& c = ctx_.cost();
   ctx_.Charge(c.syscall_entry, PathEvent::kSyscallEntry);
@@ -131,7 +131,7 @@ TouchStep CkiEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
   }
   // Direct delivery into the guest kernel (PKRS stays PKRS_GUEST; the
   // IDT entry for #PF needs no PKS switch).
-  TraceScope fault_scope(ctx_, "fault");
+  TraceScope fault_scope(ctx_, Phase::kFault);
   ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
   cpu.set_cpl(Cpl::kKernel);
   if (ablation_ == CkiAblation::kNoOpt2) {
@@ -180,7 +180,7 @@ uint64_t CkiEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
   // Hypercalls are issued by the guest kernel (ring 0, PKRS_GUEST); a user
   // process reaches this point only through a syscall into the guest
   // kernel first.
-  TraceScope obs_scope(ctx_, "hypercall");
+  TraceScope obs_scope(ctx_, Phase::kHypercall);
   Cpu& cpu = machine_.cpu();
   Cpl saved_cpl = cpu.cpl();
   cpu.set_cpl(Cpl::kKernel);
@@ -255,7 +255,7 @@ bool CkiEngine::DeliverHardwareInterrupt(uint8_t vector) {
 }
 
 bool CkiEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
-  TraceScope obs_scope(ctx_, "ksm/store_pte");
+  TraceScope obs_scope(ctx_, Phase::kKsmStorePte);
   const CostModel& c = ctx_.cost();
   // Chaos mode: flip a physical-address bit in the guest's PTE store. The
   // KSM monitor must catch the forged mapping; its rejection kills the

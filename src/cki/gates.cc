@@ -37,7 +37,7 @@ bool Gates::ExitKsm() { return SwitchPks(kPkrsGuest); }
 void Gates::HypercallRoundtrip() {
   SimContext& ctx = machine_.ctx();
   const CostModel& c = ctx.cost();
-  TraceScope obs_scope(ctx, "gate/hypercall");
+  TraceScope obs_scope(ctx, Phase::kGateHypercall);
   ctx.RecordEvent(PathEvent::kHypercall);
   // Entry: PKS to monitor rights, save guest context into the per-vCPU
   // area, switch to the host page table (with IBRS; PTI is unnecessary for
@@ -59,7 +59,7 @@ bool Gates::HardwareInterruptToHost(uint8_t vector) {
   if (entry.fault) {
     return false;
   }
-  TraceScope obs_scope(ctx, "gate/hw_interrupt");
+  TraceScope obs_scope(ctx, Phase::kGateHwInterrupt);
   ctx.Charge(ctx.cost().hw_interrupt_delivery, PathEvent::kHwInterrupt);
   // The IDT extension has zeroed PKRS; the gate saves the interrupt info
   // to the per-vCPU area and performs the full exit to the host kernel.

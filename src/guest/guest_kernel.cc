@@ -222,7 +222,7 @@ size_t GuestKernel::live_processes() const {
 }
 
 SyscallResult GuestKernel::HandleSyscall(const SyscallRequest& req) {
-  TraceScope obs_scope(ctx_, SysName(req.no));
+  TraceScope obs_scope(ctx_, SysPhase(req.no));
   syscalls_++;
   ctx_.ChargeWork(HandlerCost(req.no));
   Process& proc = current();

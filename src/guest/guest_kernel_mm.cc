@@ -220,7 +220,7 @@ void GuestKernel::WriteProtectFilePage(int ino, uint64_t block, uint64_t pa) {
 
 bool GuestKernel::FaultInPage(Process& proc, Vma& vma, uint64_t va, bool write) {
   (void)write;
-  TraceScope obs_scope(ctx_, "mm/fault_in");
+  TraceScope obs_scope(ctx_, Phase::kMmFaultIn);
   // Demand fill: VMA lookup, page allocation, zeroing/fill, and PTE
   // construction. The calibrated handler-core cost covers all of that
   // (Fig 10a: 840 ns of the 1,000 ns native fault).
@@ -341,7 +341,7 @@ void GuestKernel::UnmapRange(Process& proc, uint64_t start, uint64_t end) {
 }
 
 int GuestKernel::ClonePagesCow(Process& parent, Process& child) {
-  TraceScope obs_scope(ctx_, "mm/clone_cow");
+  TraceScope obs_scope(ctx_, Phase::kMmCloneCow);
   // Collect the parent's user-half leaves first (editing while iterating
   // the radix tree would invalidate the traversal).
   struct LeafInfo {
@@ -388,7 +388,7 @@ int GuestKernel::ClonePagesCow(Process& parent, Process& child) {
 }
 
 void GuestKernel::TeardownAddressSpace(Process& proc) {
-  TraceScope obs_scope(ctx_, "mm/teardown");
+  TraceScope obs_scope(ctx_, Phase::kMmTeardown);
   // Free user data pages, then the page-table pages themselves
   // (post-order walk over the radix tree).
   struct LeafInfo {

@@ -29,7 +29,7 @@ uint64_t VcpuScheduler::Run(uint64_t max_slices) {
 
       // Resume: the host loads the vCPU context and enters the guest
       // (charged as one virtual-interrupt-style resume).
-      TraceScope slice_scope(ctx_, task.engine->id(), "vcpu/slice");
+      TraceScope slice_scope(ctx_, task.engine->id(), Phase::kVcpuSlice);
       ctx_.ChargeWork(ctx_.cost().virq_inject);
       SimNanos slice_start = ctx_.clock().now();
       bool wants_more = true;

@@ -24,7 +24,7 @@ void VirtioNetAdapter::ClientSubmitBatch(int conn, int count, uint64_t bytes) {
   if (count <= 0) {
     return;
   }
-  TraceScope obs_scope(ctx_, engine_.id(), "virtio/deliver");
+  TraceScope obs_scope(ctx_, engine_.id(), Phase::kVirtioDeliver);
   EnsureConn(conn);
   // Backend places the buffers into the queue and notifies the guest once.
   ctx_.ChargeWork(ctx_.cost().virtio_host_service);

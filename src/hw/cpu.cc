@@ -114,7 +114,7 @@ Fault Cpu::AccessTranslate(uint64_t va, AccessIntent intent, uint64_t* out_pa) {
   // TLB miss: walk, charging per-reference cost (two-dimensional when an
   // EPT is active).
   bool two_dim = (ept_ != nullptr);
-  TraceScope walk_scope(ctx_, "mmu/page_walk");
+  TraceScope walk_scope(ctx_, Phase::kMmuPageWalk);
   ctx_.RecordEvent(PathEvent::kTlbMiss, va);
   ctx_.Charge(ctx_.cost().WalkCost(two_dim),
               two_dim ? PathEvent::kPageWalk2D : PathEvent::kPageWalk1D);

@@ -149,7 +149,7 @@ void LoadGenerator::SendRequests(int flow, int count, uint64_t bytes) {
   if (it == flows_.end() || count <= 0) {
     return;
   }
-  TraceScope obs_scope(ctx_, "loadgen/submit");
+  TraceScope obs_scope(ctx_, Phase::kLoadgenSubmit);
   // Client-side batch assembly (request formatting, socket writes).
   ctx_.ChargeWork(ctx_.cost().virtio_host_service);
   for (int i = 0; i < count; ++i) {
@@ -171,7 +171,7 @@ uint64_t LoadGenerator::PumpOpenLoop(int flow, ArrivalProcess& arrivals, SimNano
   if (it == flows_.end()) {
     return 0;
   }
-  TraceScope obs_scope(ctx_, "loadgen/openloop");
+  TraceScope obs_scope(ctx_, Phase::kLoadgenOpenloop);
   uint64_t sent = 0;
   std::vector<SimNanos> times;
   arrivals.DrainUntil(until, &times);

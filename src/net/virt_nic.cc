@@ -74,7 +74,7 @@ uint64_t VirtNic::Transmit(int conn, uint64_t bytes) {
 }
 
 void VirtNic::Kick() {
-  TraceScope obs_scope(ctx_, "nic/kick");
+  TraceScope obs_scope(ctx_, Phase::kNicKick);
   ctx_.Charge(engine_.KickCost(), PathEvent::kVirtioKick);
   // Backend processes the whole available queue per notification.
   ctx_.ChargeWork(ctx_.cost().virtio_host_service);
@@ -90,7 +90,7 @@ void VirtNic::Flush() {
   if (tx_ring_.empty()) {
     return;
   }
-  TraceScope obs_scope(ctx_, "nic/flush");
+  TraceScope obs_scope(ctx_, Phase::kNicFlush);
   Kick();
 }
 
@@ -148,7 +148,7 @@ void VirtNic::RaiseIrq() {
   }
   irq_pending_ = true;
   stats_.interrupts++;
-  TraceScope obs_scope(ctx_, "nic/irq");
+  TraceScope obs_scope(ctx_, Phase::kNicIrq);
   ctx_.Charge(engine_.DeviceInterruptCost(), PathEvent::kVirqInject);
 }
 
@@ -170,7 +170,7 @@ void VirtNic::AckIrqIfDrained() {
 
 void VirtNic::CompleteBatch() {
   stats_.interrupts++;
-  TraceScope obs_scope(ctx_, "nic/irq");
+  TraceScope obs_scope(ctx_, Phase::kNicIrq);
   ctx_.Charge(engine_.DeviceInterruptCost(), PathEvent::kVirqInject);
 }
 

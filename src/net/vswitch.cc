@@ -55,7 +55,7 @@ void VSwitch::DetachPort(int port) {
 }
 
 bool VSwitch::Send(const Packet& p) {
-  TraceScope obs_scope(ctx_, "net/hop");
+  TraceScope obs_scope(ctx_, Phase::kNetHop);
   if (p.src >= 0 && static_cast<size_t>(p.src) < ports_.size()) {
     PortState& src = ports_[static_cast<size_t>(p.src)];
     src.stats.tx_packets++;

@@ -26,8 +26,8 @@ namespace cki {
 
 enum class TraceRecordKind : uint8_t {
   kInstant = 0,  // architectural event; code is a PathEvent
-  kSpanBegin,    // TraceScope entry; code is a SpanProfiler phase id
-  kSpanEnd,      // TraceScope exit; code is a SpanProfiler phase id
+  kSpanBegin,    // TraceScope entry; code is a Phase
+  kSpanEnd,      // TraceScope exit; code is a Phase
   // Causal flow points: `arg` is the request trace_id (trace_context.h);
   // the exporter turns these into Perfetto flow events, which render one
   // request as a single arrow chain across containers and shards.
@@ -40,7 +40,7 @@ struct TraceRecord {
   SimNanos ts = 0;     // simulated time of the record
   uint64_t arg = 0;    // event-specific payload (0 when unused)
   uint32_t owner = 0;  // container id (0: host kernel)
-  uint16_t code = 0;   // PathEvent or phase id, per `kind`
+  uint16_t code = 0;   // PathEvent or Phase, per `kind`
   TraceRecordKind kind = TraceRecordKind::kInstant;
 };
 

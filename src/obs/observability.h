@@ -120,7 +120,7 @@ class Observability {
     recorder().Record(r);
   }
 
-  // Self-accounted histogram sample (LatencyScope / SyscallScope).
+  // Self-accounted histogram sample (SyscallScope).
   void AddHistSample(std::string_view family, std::string_view item, SimNanos v) {
     self_.hist_samples++;
     metrics().Hist(family, item).Add(v);

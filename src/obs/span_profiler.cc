@@ -2,39 +2,23 @@
 
 namespace cki {
 
-int SpanProfiler::InternPhase(std::string_view name) {
-  auto it = phase_ids_.find(std::string(name));
-  if (it != phase_ids_.end()) {
-    return it->second;
-  }
-  int id = static_cast<int>(phase_names_.size());
-  phase_names_.emplace_back(name);
-  phase_ids_.emplace(phase_names_.back(), id);
-  return id;
-}
-
-std::string_view SpanProfiler::PhaseName(int phase_id) const {
-  if (phase_id < 0 || static_cast<size_t>(phase_id) >= phase_names_.size()) {
-    return "unknown";
-  }
-  return phase_names_[static_cast<size_t>(phase_id)];
-}
-
-int SpanProfiler::BeginSpan(int phase_id, SimNanos now) {
+int SpanProfiler::BeginSpan(Phase phase, SimNanos now) {
   int parent = stack_.empty() ? -1 : stack_.back().node;
-  auto [it, inserted] = edges_.try_emplace({parent, phase_id}, -1);
-  if (inserted) {
-    int node = static_cast<int>(nodes_.size());
-    nodes_.push_back(Node{.name = std::string(PhaseName(phase_id)), .parent = parent});
-    it->second = node;
-    if (parent < 0) {
-      roots_.push_back(node);
-    } else {
-      nodes_[static_cast<size_t>(parent)].children.push_back(node);
+  std::vector<int>& siblings = parent < 0 ? roots_ : nodes_[static_cast<size_t>(parent)].children;
+  int node = -1;
+  for (int child : siblings) {
+    if (nodes_[static_cast<size_t>(child)].phase == phase) {
+      node = child;
+      break;
     }
   }
-  stack_.push_back(Frame{.node = it->second, .start = now});
-  return it->second;
+  if (node < 0) {
+    node = static_cast<int>(nodes_.size());
+    siblings.push_back(node);  // before nodes_ grows: `siblings` may live in it
+    nodes_.push_back(Node{.phase = phase, .name = PhaseName(phase), .parent = parent});
+  }
+  stack_.push_back(Frame{.node = node, .start = now});
+  return node;
 }
 
 void SpanProfiler::EndSpan(SimNanos now) {
@@ -62,13 +46,9 @@ SimNanos SpanProfiler::RootTotal() const {
 }
 
 int SpanProfiler::FindChild(int parent, std::string_view name) const {
-  const std::vector<int>* candidates;
-  if (parent < 0) {
-    candidates = &roots_;
-  } else {
-    candidates = &nodes_[static_cast<size_t>(parent)].children;
-  }
-  for (int child : *candidates) {
+  const std::vector<int>& siblings =
+      parent < 0 ? roots_ : nodes_[static_cast<size_t>(parent)].children;
+  for (int child : siblings) {
     if (nodes_[static_cast<size_t>(child)].name == name) {
       return child;
     }
@@ -98,33 +78,6 @@ void SpanProfiler::WriteJson(std::ostream& os) const {
     WriteNodeJson(os, roots_[i]);
   }
   os << "]";
-}
-
-void SpanProfiler::PrintNode(std::ostream& os, int index, int depth) const {
-  const Node& node = nodes_[static_cast<size_t>(index)];
-  for (int i = 0; i < depth; ++i) {
-    os << "  ";
-  }
-  os << node.name << "  total=" << node.total << "ns self=" << node.self
-     << "ns count=" << node.count << "\n";
-  for (int child : node.children) {
-    PrintNode(os, child, depth + 1);
-  }
-}
-
-void SpanProfiler::PrintTree(std::ostream& os) const {
-  for (int root : roots_) {
-    PrintNode(os, root, 0);
-  }
-}
-
-void SpanProfiler::Clear() {
-  nodes_.clear();
-  roots_.clear();
-  edges_.clear();
-  stack_.clear();
-  phase_ids_.clear();
-  phase_names_.clear();
 }
 
 }  // namespace cki

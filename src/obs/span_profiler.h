@@ -1,31 +1,30 @@
 // Hierarchical span profiler over simulated time.
 //
-// TraceScope (src/obs/trace_scope.h) opens a named span; nested scopes
-// build a tree of phases (e.g. syscall -> getpid -> ksm/roundtrip), and
-// closing a span attributes the elapsed simulated nanoseconds to its tree
-// node: `total` includes children, `self` excludes them. The tree makes
-// latency breakdowns like the paper's Fig. 10 an output of instrumentation
-// instead of hand-wired cost arithmetic.
+// TraceScope (src/obs/trace_scope.h) opens a span of one Phase
+// (src/obs/phase.h); nested scopes build a tree of phases (e.g. syscall ->
+// getpid -> ksm/roundtrip), and closing a span attributes the elapsed
+// simulated nanoseconds to its tree node: `total` includes children,
+// `self` excludes them. The tree makes latency breakdowns like the
+// paper's Fig. 10 an output of instrumentation instead of hand-wired cost
+// arithmetic.
 //
 // Thread-safety: none — the open-span stack is inherently per-execution-
 // thread state, so a profiler belongs to exactly one machine's hub and is
 // only driven from that shard's thread. Cluster runs keep one profiler
 // per shard (Observability::Detach moves it out with the hub) and export
 // them side by side rather than merging trees.
-// Ownership: the profiler owns its nodes; node/phase indices and the
-// references returned by nodes()/PhaseName stay valid until Clear().
+// Ownership: the profiler owns its nodes; node indices and the references
+// returned by nodes() stay valid for the profiler's lifetime. Node names
+// point into the static phase table.
 #ifndef SRC_OBS_SPAN_PROFILER_H_
 #define SRC_OBS_SPAN_PROFILER_H_
 
 #include <cstdint>
-#include <map>
 #include <ostream>
-#include <string>
 #include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "src/obs/phase.h"
 #include "src/sim/clock.h"
 
 namespace cki {
@@ -33,21 +32,17 @@ namespace cki {
 class SpanProfiler {
  public:
   struct Node {
-    std::string name;      // phase name (leaf component of the path)
-    int parent = -1;       // node index, -1 for roots
-    SimNanos total = 0;    // simulated ns including children
-    SimNanos self = 0;     // simulated ns excluding children
-    uint64_t count = 0;    // completed spans
+    Phase phase = Phase::kCount;
+    std::string_view name;  // PhaseName(phase)
+    int parent = -1;        // node index, -1 for roots
+    SimNanos total = 0;     // simulated ns including children
+    SimNanos self = 0;      // simulated ns excluding children
+    uint64_t count = 0;     // completed spans
     std::vector<int> children{};
   };
 
-  // Maps a phase name to a stable small id (interned on first use).
-  int InternPhase(std::string_view name);
-  std::string_view PhaseName(int phase_id) const;
-  size_t phase_count() const { return phase_names_.size(); }
-
   // Opens/closes a span; driven by TraceScope. Returns the node index.
-  int BeginSpan(int phase_id, SimNanos now);
+  int BeginSpan(Phase phase, SimNanos now);
   void EndSpan(SimNanos now);
   size_t depth() const { return stack_.size(); }
 
@@ -62,10 +57,6 @@ class SpanProfiler {
   // Nested JSON array of root nodes:
   //   [{"name":..,"count":..,"total_ns":..,"self_ns":..,"children":[..]}]
   void WriteJson(std::ostream& os) const;
-  // Indented human-readable tree (debugging, bench stdout).
-  void PrintTree(std::ostream& os) const;
-
-  void Clear();
 
  private:
   struct Frame {
@@ -75,14 +66,10 @@ class SpanProfiler {
   };
 
   void WriteNodeJson(std::ostream& os, int node) const;
-  void PrintNode(std::ostream& os, int node, int depth) const;
 
   std::vector<Node> nodes_;
   std::vector<int> roots_;
-  std::map<std::pair<int, int>, int> edges_;  // (parent node, phase id) -> node
   std::vector<Frame> stack_;
-  std::unordered_map<std::string, int> phase_ids_;
-  std::vector<std::string> phase_names_;
 };
 
 }  // namespace cki

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "src/obs/json_util.h"
+#include "src/obs/phase.h"
 
 namespace cki {
 
@@ -18,13 +19,13 @@ void WriteTs(std::ostream& os, SimNanos ns) {
   os << buf;
 }
 
-std::string_view RecordName(const Observability& obs, const TraceRecord& r) {
+std::string_view RecordName(const TraceRecord& r) {
   if (r.kind == TraceRecordKind::kInstant) {
     return r.code < static_cast<uint16_t>(PathEvent::kCount)
                ? PathEventName(static_cast<PathEvent>(r.code))
                : std::string_view("unknown");
   }
-  return obs.profiler().PhaseName(r.code);
+  return PhaseName(static_cast<Phase>(r.code));
 }
 
 }  // namespace
@@ -81,7 +82,7 @@ void WriteChromeTraceEvents(const Observability& obs, uint32_t pid, std::string_
     }
     emit_comma();
     os << "{\"name\":";
-    WriteJsonString(os, RecordName(obs, r));
+    WriteJsonString(os, RecordName(r));
     os << ",\"cat\":";
     switch (r.kind) {
       case TraceRecordKind::kInstant:

@@ -1,10 +1,8 @@
 // RAII span instrumentation over simulated time.
 //
-// TraceScope opens a named phase on the SimContext's span profiler and
-// mirrors begin/end markers into the flight recorder; nesting scopes
-// builds the phase tree (syscall -> getpid -> ksm/roundtrip -> ...).
-// Phase names are an API: exporters, tests, and the DESIGN.md taxonomy
-// all key on them, so treat renames as breaking changes.
+// TraceScope opens a Phase (src/obs/phase.h) on the SimContext's span
+// profiler and mirrors begin/end markers into the flight recorder; nesting
+// scopes builds the phase tree (syscall -> getpid -> ksm/roundtrip -> ...).
 //
 // Sampling (DESIGN.md §11): every scope reports to the hub's gate
 // (EnterScope/ExitScope). The outermost scope latches the keep/suppress
@@ -23,18 +21,18 @@
 #ifndef SRC_OBS_TRACE_SCOPE_H_
 #define SRC_OBS_TRACE_SCOPE_H_
 
-#include <string_view>
-
+#include "src/guest/syscall.h"
+#include "src/obs/phase.h"
 #include "src/sim/context.h"
 
 namespace cki {
 
 class TraceScope {
  public:
-  TraceScope(SimContext& ctx, std::string_view phase) : ctx_(ctx) { Enter(phase); }
+  TraceScope(SimContext& ctx, Phase phase) : ctx_(ctx) { Enter(phase); }
 
   // Also stamps `owner` as the current container attribution.
-  TraceScope(SimContext& ctx, uint32_t owner, std::string_view phase) : ctx_(ctx) {
+  TraceScope(SimContext& ctx, uint32_t owner, Phase phase) : ctx_(ctx) {
     if (ctx.obs().enabled()) {
       ctx.obs().set_owner(owner);
     }
@@ -65,7 +63,7 @@ class TraceScope {
   TraceScope& operator=(const TraceScope&) = delete;
 
  private:
-  void Enter(std::string_view phase) {
+  void Enter(Phase phase) {
     Observability& obs = ctx_.obs();
     if (!obs.enabled()) {
       return;
@@ -75,7 +73,7 @@ class TraceScope {
     if (!recording_) {
       return;
     }
-    phase_ = obs.profiler().InternPhase(phase);
+    phase_ = phase;
     SimNanos now = ctx_.clock().now();
     obs.profiler().BeginSpan(phase_, now);
     obs.RecordRing(TraceRecord{.ts = now,
@@ -87,48 +85,18 @@ class TraceScope {
   SimContext& ctx_;
   bool entered_ = false;
   bool recording_ = false;
-  int phase_ = -1;
-};
-
-// TraceScope plus a latency sample: on exit, the elapsed simulated ns are
-// also recorded into the metrics histogram `family/item`. The histogram
-// write follows the scope's sampling decision.
-class LatencyScope {
- public:
-  LatencyScope(SimContext& ctx, uint32_t owner, std::string_view phase, std::string_view family,
-               std::string_view item)
-      : ctx_(ctx), scope_(ctx, owner, phase), family_(family), item_(item) {
-    if (scope_.recording()) {
-      start_ = ctx_.clock().now();
-    }
-  }
-
-  ~LatencyScope() {
-    if (scope_.recording()) {
-      ctx_.obs().AddHistSample(family_, item_, ctx_.clock().now() - start_);
-    }
-  }
-
-  LatencyScope(const LatencyScope&) = delete;
-  LatencyScope& operator=(const LatencyScope&) = delete;
-
- private:
-  SimContext& ctx_;
-  TraceScope scope_;
-  std::string_view family_;
-  std::string_view item_;
-  SimNanos start_ = 0;
+  Phase phase_ = Phase::kCount;
 };
 
 // The engines' per-syscall instrumentation: a "syscall" span plus the
 // per-syscall latency histogram (both behind the sampling gate) plus the
 // owning container's SLO window (always on — the rolling window is the
-// telemetry that must survive sampling). `sys_name` must outlive the
-// scope; the engines pass entries of the static kSysNames table.
+// telemetry that must survive sampling). The histogram item is
+// SysName(no).
 class SyscallScope {
  public:
-  SyscallScope(SimContext& ctx, uint32_t owner, std::string_view sys_name)
-      : ctx_(ctx), scope_(ctx, owner, "syscall"), owner_(owner), sys_name_(sys_name),
+  SyscallScope(SimContext& ctx, uint32_t owner, Sys no)
+      : ctx_(ctx), scope_(ctx, owner, Phase::kSyscall), owner_(owner), no_(no),
         active_(ctx.obs().enabled()) {
     if (active_) {
       start_ = ctx_.clock().now();
@@ -143,7 +111,7 @@ class SyscallScope {
     SimNanos now = ctx_.clock().now();
     SimNanos latency = now - start_;
     if (scope_.recording()) {
-      obs.AddHistSample("syscall", sys_name_, latency);
+      obs.AddHistSample("syscall", SysName(no_), latency);
     }
     obs.SloObserveSyscall(owner_, now, latency);
   }
@@ -155,7 +123,7 @@ class SyscallScope {
   SimContext& ctx_;
   TraceScope scope_;
   uint32_t owner_;
-  std::string_view sys_name_;
+  Sys no_;
   bool active_;
   SimNanos start_ = 0;
 };

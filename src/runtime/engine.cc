@@ -34,14 +34,14 @@ void ContainerEngine::KillFromFault() {
   }
   killed_ = true;
   {
-    TraceScope kill_scope(ctx_, id_, "fault/kill");
+    TraceScope kill_scope(ctx_, id_, Phase::kFaultKill);
     OnKill();
     if (kernel_) {
       kernel_->KillAllProcesses();
     }
     ctx_.ChargeWork(ctx_.cost().fault_kill_fixed);
   }
-  TraceScope reclaim_scope(ctx_, id_, "fault/reclaim");
+  TraceScope reclaim_scope(ctx_, id_, Phase::kFaultReclaim);
   machine_.cpu().tlb().InvalidatePcidRange(pcid_base_, pcid_count_);
   uint64_t reclaimed = machine_.frames().ReclaimOwner(id_);
   machine_.faults().NoteReclaim(id_, reclaimed);
@@ -72,7 +72,7 @@ TouchResult ContainerEngine::UserTouchSlow(uint64_t va, bool write) {
       machine_.faults().Raise(
           FaultReport{FaultKind::kPksTrap, id_, va});
     }
-    TraceScope obs_scope(ctx_, id_, "touch");
+    TraceScope obs_scope(ctx_, id_, Phase::kTouch);
     Cpu& cpu = machine_.cpu();
     cpu.set_cpl(Cpl::kUser);
     AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
@@ -100,7 +100,7 @@ TouchStep ContainerEngine::DeliverFaultNatively(const Fault& f, uint64_t va, boo
   if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
     return TouchStep::kSegv;
   }
-  TraceScope fault_scope(ctx_, "fault");
+  TraceScope fault_scope(ctx_, Phase::kFault);
   ctx_.Charge(ctx_.cost().fault_delivery, PathEvent::kPageFault);
   cpu.set_cpl(Cpl::kKernel);
   ctx_.ChargeWork(handler_extra);

@@ -10,7 +10,7 @@ NativeEngine::NativeEngine(Machine& machine) : ContainerEngine(machine) {
 
 SyscallResult NativeEngine::DoUserSyscall(const SyscallRequest& req) {
   // Native path: syscall -> ring-0 handler -> sysret. 90 ns plus handler.
-  SyscallScope obs_scope(ctx_, id_, SysName(req.no));
+  SyscallScope obs_scope(ctx_, id_, req.no);
   Cpu& cpu = machine_.cpu();
   ctx_.Charge(ctx_.cost().syscall_entry, PathEvent::kSyscallEntry);
   cpu.SyscallEntry();

@@ -27,7 +27,7 @@ SimNanos GvisorEngine::SystrapCost() const {
 }
 
 SyscallResult GvisorEngine::DoUserSyscall(const SyscallRequest& req) {
-  SyscallScope obs_scope(ctx_, id_, SysName(req.no));
+  SyscallScope obs_scope(ctx_, id_, req.no);
   Cpu& cpu = machine_.cpu();
   ctx_.Charge(ctx_.cost().syscall_entry, PathEvent::kSyscallEntry);
   cpu.SyscallEntry();
@@ -58,7 +58,7 @@ uint64_t GvisorEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
   (void)a1;
   // Sentry -> host requests are ordinary host syscalls from the Sentry
   // process (one ring crossing, no address-space switch needed).
-  TraceScope obs_scope(ctx_, "hypercall");
+  TraceScope obs_scope(ctx_, Phase::kHypercall);
   ctx_.RecordEvent(PathEvent::kHypercall);
   ctx_.Charge(ctx_.cost().mode_switch, PathEvent::kModeSwitch);
   ctx_.ChargeWork(ctx_.cost().hypercall_dispatch);

@@ -65,7 +65,7 @@ void HvmEngine::ChargeVmExit() {
 }
 
 void HvmEngine::HandleEptViolation(uint64_t gpa) {
-  TraceScope obs_scope(ctx_, "ept/violation");
+  TraceScope obs_scope(ctx_, Phase::kEptViolation);
   const CostModel& c = ctx_.cost();
   ctx_.RecordEvent(PathEvent::kEptViolation, gpa);
   if (nested()) {
@@ -104,7 +104,7 @@ void HvmEngine::HandleEptViolation(uint64_t gpa) {
 
 SyscallResult HvmEngine::DoUserSyscall(const SyscallRequest& req) {
   // Native-speed syscalls inside the guest: no VM exit involved.
-  SyscallScope obs_scope(ctx_, id_, SysName(req.no));
+  SyscallScope obs_scope(ctx_, id_, req.no);
   Cpu& cpu = machine_.cpu();
   ctx_.Charge(ctx_.cost().syscall_entry, PathEvent::kSyscallEntry);
   cpu.SyscallEntry();
@@ -123,7 +123,7 @@ TouchStep HvmEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
     case FaultType::kPageProtection: {
       // Guest-internal fault: delivered and handled entirely in the L2
       // guest kernel (slightly heavier than native, Fig 10a).
-      TraceScope fault_scope(ctx_, "fault");
+      TraceScope fault_scope(ctx_, Phase::kFault);
       ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
       cpu.set_cpl(Cpl::kKernel);
       ctx_.ChargeWork(c.hvm_guest_handler_extra);
@@ -155,7 +155,7 @@ void HvmEngine::OnKill() {
 uint64_t HvmEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
   (void)a0;
   (void)a1;
-  TraceScope obs_scope(ctx_, "hypercall");
+  TraceScope obs_scope(ctx_, Phase::kHypercall);
   ctx_.RecordEvent(PathEvent::kHypercall);
   ChargeVmExit();
   ctx_.ChargeWork(ctx_.cost().hypercall_dispatch);

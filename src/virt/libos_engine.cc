@@ -37,7 +37,7 @@ SyscallResult LibOsEngine::DoUserSyscall(const SyscallRequest& req) {
     return {kEINVAL};
   }
   // No ring crossing at all: a function call into the linked libOS.
-  SyscallScope obs_scope(ctx_, id_, SysName(req.no));
+  SyscallScope obs_scope(ctx_, id_, req.no);
   ctx_.ChargeWork(kFnCallOverhead);
   ctx_.ChargeWork(ctx_.cost().syscall_handler_min);
   return kernel_->HandleSyscall(req);
@@ -58,7 +58,7 @@ uint64_t LibOsEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
   (void)a0;
   (void)a1;
   // LibOS -> host requests are host syscalls from the unikernel process.
-  TraceScope obs_scope(ctx_, "hypercall");
+  TraceScope obs_scope(ctx_, Phase::kHypercall);
   ctx_.RecordEvent(PathEvent::kHypercall);
   ctx_.Charge(ctx_.cost().mode_switch, PathEvent::kModeSwitch);
   ctx_.ChargeWork(ctx_.cost().hypercall_dispatch);

@@ -113,7 +113,7 @@ void PvmEngine::SyncShadowLeaf(uint64_t guest_root, uint64_t va, uint64_t guest_
 SyscallResult PvmEngine::DoUserSyscall(const SyscallRequest& req) {
   // App -> host kernel -> (mode + page-table switch) -> user-mode guest
   // kernel -> handler -> (switch back) -> host -> app. Fig 10b: 336 ns.
-  SyscallScope obs_scope(ctx_, id_, SysName(req.no));
+  SyscallScope obs_scope(ctx_, id_, req.no);
   Cpu& cpu = machine_.cpu();
   ctx_.Charge(ctx_.cost().syscall_entry, PathEvent::kSyscallEntry);
   cpu.SyscallEntry();
@@ -134,7 +134,7 @@ TouchStep PvmEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
   }
   // Every fault first traps to the host kernel, which walks the guest
   // page table to classify it (true guest fault vs stale shadow entry).
-  TraceScope fault_scope(ctx_, "fault");
+  TraceScope fault_scope(ctx_, Phase::kFault);
   ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
   cpu.set_cpl(Cpl::kKernel);
   uint64_t guest_root = kernel_->current().pt_root;
@@ -142,7 +142,7 @@ TouchStep PvmEngine::OnTouchFault(const Fault& f, uint64_t va, bool write) {
   bool stale_shadow = !guest_walk.fault && (!f.was_write || PteWritable(guest_walk.leaf_pte));
   if (stale_shadow) {
     // The guest mapping exists; only the shadow entry is missing.
-    TraceScope fill_scope(ctx_, "spt/fill");
+    TraceScope fill_scope(ctx_, Phase::kSptFill);
     ctx_.Charge(c.spt_hidden_fill, PathEvent::kShadowPtUpdate);
     SyncShadowLeaf(guest_root, va & ~(kPageSize - 1), guest_walk.leaf_pte);
     cpu.set_cpl(Cpl::kUser);
@@ -174,7 +174,7 @@ uint64_t PvmEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
   (void)op;
   (void)a0;
   (void)a1;
-  TraceScope obs_scope(ctx_, "hypercall");
+  TraceScope obs_scope(ctx_, Phase::kHypercall);
   ctx_.RecordEvent(PathEvent::kHypercall);
   ChargePvmExit();
   return 0;
@@ -209,7 +209,7 @@ uint64_t PvmEngine::ReadPte(uint64_t pte_pa) {
 }
 
 bool PvmEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
-  TraceScope obs_scope(ctx_, "spt/emulate");
+  TraceScope obs_scope(ctx_, Phase::kSptEmulate);
   const CostModel& c = ctx_.cost();
   if (in_batch_) {
     ctx_.Charge(c.spt_emulation_batched, PathEvent::kShadowPtUpdate);

@@ -83,7 +83,7 @@ KvResult RunKvBenchmark(ContainerEngine& engine, const KvConfig& config) {
         {
           // Store logic runs outside the syscall spans; give it its own
           // phase so observed root spans still sum to the measured time.
-          TraceScope app_scope(ctx, engine.id(), "kv/app");
+          TraceScope app_scope(ctx, engine.id(), Phase::kKvApp);
           ctx.ChargeWork(AppWorkPerRequest(config.kind));
         }
         engine.UserSyscall(SyscallRequest{.no = Sys::kSendto,

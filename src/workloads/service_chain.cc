@@ -31,7 +31,7 @@ ChainResult RunServiceChain(ContainerEngine& proxy, ContainerEngine& backend,
   std::vector<int> flows;    // client flows
   std::vector<uint64_t> proxy_fds;
   {
-    TraceScope setup_scope(ctx, "chain/setup");
+    TraceScope setup_scope(ctx, Phase::kChainSetup);
     SyscallResult blfd = backend.UserSyscall(
         SyscallRequest{.no = Sys::kListen, .arg0 = kBackendService, .arg1 = 128});
     SyscallResult plfd = proxy.UserSyscall(
@@ -59,7 +59,7 @@ ChainResult RunServiceChain(ContainerEngine& proxy, ContainerEngine& backend,
   while (remaining > 0) {
     int n = std::min(conc, remaining);
     {
-      TraceScope obs_scope(ctx, 0, "chain/client");
+      TraceScope obs_scope(ctx, 0, Phase::kChainClient);
       for (int c = 0; c < n; ++c) {
         gen.SendRequests(flows[static_cast<size_t>(c)], 1,
                          config.request_bytes + rng.NextBelow(64));
@@ -67,7 +67,7 @@ ChainResult RunServiceChain(ContainerEngine& proxy, ContainerEngine& backend,
     }
     {
       // Inbound leg: terminate the client connection, query the backend.
-      TraceScope obs_scope(ctx, proxy.id(), "chain/proxy");
+      TraceScope obs_scope(ctx, proxy.id(), Phase::kChainProxy);
       for (int c = 0; c < n; ++c) {
         proxy.UserSyscall(SyscallRequest{.no = Sys::kEpollWait});
         proxy.UserSyscall(SyscallRequest{.no = Sys::kRecvfrom,
@@ -84,7 +84,7 @@ ChainResult RunServiceChain(ContainerEngine& proxy, ContainerEngine& backend,
       proxy_nic.Flush();
     }
     {
-      TraceScope obs_scope(ctx, backend.id(), "chain/backend");
+      TraceScope obs_scope(ctx, backend.id(), Phase::kChainBackend);
       for (int c = 0; c < n; ++c) {
         backend.UserSyscall(SyscallRequest{.no = Sys::kEpollWait});
         backend.UserSyscall(SyscallRequest{
@@ -97,7 +97,7 @@ ChainResult RunServiceChain(ContainerEngine& proxy, ContainerEngine& backend,
     }
     {
       // Outbound leg: relay the backend responses to the clients.
-      TraceScope obs_scope(ctx, proxy.id(), "chain/proxy");
+      TraceScope obs_scope(ctx, proxy.id(), Phase::kChainProxy);
       for (int c = 0; c < n; ++c) {
         proxy.UserSyscall(SyscallRequest{.no = Sys::kEpollWait});
         proxy.UserSyscall(SyscallRequest{
@@ -109,7 +109,7 @@ ChainResult RunServiceChain(ContainerEngine& proxy, ContainerEngine& backend,
       proxy_nic.Flush();
     }
     {
-      TraceScope obs_scope(ctx, 0, "chain/client");
+      TraceScope obs_scope(ctx, 0, Phase::kChainClient);
       for (int c = 0; c < n; ++c) {
         served += gen.TakeResponses(flows[static_cast<size_t>(c)]);
       }

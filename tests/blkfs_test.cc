@@ -11,6 +11,7 @@
 #include "src/blkfs/blkfs.h"
 #include "src/cki/cki_engine.h"
 #include "src/cluster/sim_cluster.h"
+#include "src/fault/fault_domain.h"
 #include "src/runtime/runtime.h"
 #include "src/snap/snapshot.h"
 #include "src/workloads/blkfs_workload.h"
@@ -214,6 +215,20 @@ TEST(BlkfsLayers, ResolutionWalksDeltaThenBase) {
   // Identical content dedups to the same image id.
   EXPECT_EQ(store.RegisterImage({10, 11, 12, 13}), image);
   EXPECT_NE(store.RegisterImage({10, 11, 12, 14}), image);
+}
+
+TEST(BlkfsLayers, BadImageIdOrBlockIsAHostError) {
+  Machine machine(MachineConfigFor(RuntimeKind::kCki, Deployment::kBareMetal));
+  LayerStore store(machine);
+  int image = store.RegisterImage({10, 11});
+  EXPECT_THROW(store.OpenView(image + 1, 1), FatalHostError);
+  EXPECT_THROW(store.OpenView(-1, 1), FatalHostError);
+  EXPECT_EQ(store.view_count(), 0u);
+
+  int view = store.OpenView(image, 1);
+  EXPECT_THROW(store.MaterializeBase(view, 2), FatalHostError);
+  EXPECT_EQ(store.materialized_frames(image), 0u);
+  EXPECT_NE(store.MaterializeBase(view, 1), kNoPage);
 }
 
 // --- cross-container dedup + exact reap footprint ---------------------------

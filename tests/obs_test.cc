@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -167,6 +168,27 @@ TEST(PathEventTest, EveryEventNameRoundTrips) {
   EXPECT_EQ(PathEventName(PathEvent::kCount), "unknown");
 }
 
+// ------------------------------------------------------------ Phase table
+
+TEST(PhaseTest, NamesAreUniqueAndNonEmpty) {
+  std::set<std::string_view> seen;
+  for (size_t i = 0; i < static_cast<size_t>(Phase::kCount); ++i) {
+    std::string_view name = PhaseName(static_cast<Phase>(i));
+    EXPECT_FALSE(name.empty()) << i;
+    EXPECT_NE(name, "unknown") << i;
+    EXPECT_TRUE(seen.insert(name).second) << name;
+  }
+  EXPECT_EQ(PhaseName(Phase::kCount), "unknown");
+}
+
+TEST(PhaseTest, SyscallPhasesAreTheSyscallNames) {
+  for (size_t i = 0; i < static_cast<size_t>(Sys::kCount); ++i) {
+    Sys s = static_cast<Sys>(i);
+    EXPECT_EQ(PhaseName(SysPhase(s)), SysName(s));
+  }
+  EXPECT_EQ(PhaseName(SysPhase(Sys::kCount)), "unknown");
+}
+
 // ------------------------------------------------------------- Disabled path
 
 TEST(ObservabilityTest, AccessorsOnNeverEnabledHubAreEmptyNotFatal) {
@@ -198,7 +220,7 @@ TEST(ObservabilityTest, DisabledContextRecordsNothing) {
   ctx.Charge(100, PathEvent::kSyscallEntry);
   ctx.RecordEvent(PathEvent::kTlbHit);
   {
-    TraceScope scope(ctx, "never");
+    TraceScope scope(ctx, Phase::kTouch);
     ctx.ChargeWork(50);
   }
   // The TraceLog still counts (it is always on); obs stores stay
@@ -293,7 +315,7 @@ TEST(ObservabilityTest, WriteJsonParsesAndReportsRecorder) {
     ctx.Charge(10, PathEvent::kTlbMiss);
   }
   {
-    TraceScope scope(ctx, "phase_a");
+    TraceScope scope(ctx, Phase::kTouch);
     ctx.ChargeWork(100);
   }
   ctx.obs().metrics().Inc("boots");
@@ -313,7 +335,7 @@ TEST(ObservabilityTest, WriteJsonParsesAndReportsRecorder) {
   ASSERT_EQ(spans->items.size(), 1u);
   const JsonValue* name = spans->items[0].Find("name");
   ASSERT_NE(name, nullptr);
-  EXPECT_EQ(name->string_value, "phase_a");
+  EXPECT_EQ(name->string_value, "touch");
   const JsonValue* total_ns = spans->items[0].Find("total_ns");
   ASSERT_NE(total_ns, nullptr);
   EXPECT_DOUBLE_EQ(total_ns->number, 100.0);
@@ -331,7 +353,7 @@ TEST(TraceExportTest, GoldenChromeTrace) {
   ctx.obs().Enable(/*ring_capacity=*/8);
   ctx.obs().set_owner(3);
   {
-    TraceScope span(ctx, "phase_a");
+    TraceScope span(ctx, Phase::kTouch);
     ctx.ChargeWork(1000);
     ctx.RecordEvent(PathEvent::kSyscallEntry, 7);
     ctx.ChargeWork(500);
@@ -343,10 +365,10 @@ TEST(TraceExportTest, GoldenChromeTrace) {
       "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
       "\"args\":{\"name\":\"cki-sim\"}},\n"
-      "{\"name\":\"phase_a\",\"cat\":\"span\",\"ph\":\"B\",\"ts\":0.000,\"pid\":1,\"tid\":3},\n"
+      "{\"name\":\"touch\",\"cat\":\"span\",\"ph\":\"B\",\"ts\":0.000,\"pid\":1,\"tid\":3},\n"
       "{\"name\":\"syscall_entry\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"ts\":1.000,"
       "\"pid\":1,\"tid\":3,\"args\":{\"arg\":7}},\n"
-      "{\"name\":\"phase_a\",\"cat\":\"span\",\"ph\":\"E\",\"ts\":1.500,\"pid\":1,\"tid\":3}\n"
+      "{\"name\":\"touch\",\"cat\":\"span\",\"ph\":\"E\",\"ts\":1.500,\"pid\":1,\"tid\":3}\n"
       "]}\n");
 
   // And it is well-formed JSON with balanced B/E events.
@@ -366,6 +388,26 @@ TEST(TraceExportTest, GoldenChromeTrace) {
   }
   EXPECT_EQ(begins, 1);
   EXPECT_EQ(ends, 1);
+}
+
+TEST(TraceExportTest, OutOfRangeSpanCodeExportsAsUnknown) {
+  SimContext ctx;
+  ctx.obs().Enable(/*ring_capacity=*/8);
+  constexpr uint16_t kBadCode = static_cast<uint16_t>(Phase::kCount) + 5;
+  ctx.obs().RecordRing(
+      TraceRecord{.ts = 0, .owner = 2, .code = kBadCode, .kind = TraceRecordKind::kSpanBegin});
+  ctx.obs().RecordRing(
+      TraceRecord{.ts = 1000, .owner = 2, .code = kBadCode, .kind = TraceRecordKind::kSpanEnd});
+  std::ostringstream os;
+  WriteChromeTrace(ctx.obs(), os);
+  EXPECT_NE(os.str().find("{\"name\":\"unknown\",\"cat\":\"span\",\"ph\":\"B\",\"ts\":0.000,"
+                          "\"pid\":1,\"tid\":2}"),
+            std::string::npos)
+      << os.str();
+  EXPECT_NE(os.str().find("{\"name\":\"unknown\",\"cat\":\"span\",\"ph\":\"E\",\"ts\":1.000,"
+                          "\"pid\":1,\"tid\":2}"),
+            std::string::npos)
+      << os.str();
 }
 
 TEST(TraceExportTest, TraceFromRealEngineParses) {
@@ -411,7 +453,7 @@ TEST(ObservabilityTest, SamplingGateKeepsOneInNRootsWithPairedMarkers) {
   ctx.obs().Enable();
   ctx.obs().set_sample_every(4);
   for (int i = 0; i < 8; ++i) {
-    TraceScope scope(ctx, "op");
+    TraceScope scope(ctx, Phase::kTouch);
     ctx.RecordEvent(PathEvent::kTlbHit);
     ctx.ChargeWork(10);
   }
@@ -434,7 +476,7 @@ TEST(ObservabilityTest, SamplingGateKeepsOneInNRootsWithPairedMarkers) {
   // The span tree only saw the sampled roots, and every span is closed.
   const SpanProfiler& prof = ctx.obs().profiler();
   EXPECT_EQ(prof.depth(), 0u);
-  int op_node = prof.FindChild(-1, "op");
+  int op_node = prof.FindChild(-1, "touch");
   ASSERT_NE(op_node, -1);
   EXPECT_EQ(prof.nodes()[static_cast<size_t>(op_node)].count, 2u);
 }

@@ -17,7 +17,11 @@ arguments):
     without its paper-vs-measured entry;
   * README.md's architecture map must cover every source layer: each
     direct subdirectory of src/ has to appear as `src/<dir>` somewhere in
-    README.md.
+    README.md;
+  * DESIGN.md's span taxonomy must match the phase table: every name in
+    kPhaseNames (src/obs/phase.h) has to appear backticked in DESIGN.md,
+    and every backticked `a/b` token in the §6 `SpanProfiler` bullet has
+    to be a name in that table.
 
 Usage: python3 tools/check_markdown.py FILE.md [FILE.md ...]
 Exits non-zero listing every violation; prints a summary when clean.
@@ -113,6 +117,37 @@ def check_readme_architecture_map(readme_path, repo_root):
     return problems
 
 
+PHASE_TABLE_RE = re.compile(r"kPhaseNames\s*=\s*std::to_array<std::string_view>\(\{(.*?)\}\);", re.S)
+SPAN_BULLET_RE = re.compile(r"^\* `SpanProfiler`.*?(?=^\*|^$)", re.S | re.M)
+SLASH_TOKEN_RE = re.compile(r"`([a-z_]+/[a-z_]+)`")
+
+
+def check_design_phase_taxonomy(design_path, repo_root):
+    """DESIGN.md §6 must list exactly the phases of src/obs/phase.h."""
+    header = os.path.join(repo_root, "src", "obs", "phase.h")
+    with open(header, encoding="utf-8") as f:
+        table = PHASE_TABLE_RE.search(f.read())
+    if table is None:
+        return [f"{header}: kPhaseNames table not found"]
+    names = re.findall(r'"([^"]+)"', table.group(1))
+    with open(design_path, encoding="utf-8") as f:
+        text = f.read()
+    problems = [
+        f"{design_path}: phase `{name}` (src/obs/phase.h) missing from the taxonomy"
+        for name in names
+        if f"`{name}`" not in text
+    ]
+    bullet = SPAN_BULLET_RE.search(text)
+    if bullet is None:
+        return problems + [f"{design_path}: no `SpanProfiler` taxonomy bullet"]
+    for token in SLASH_TOKEN_RE.findall(bullet.group(0)):
+        if token not in names:
+            problems.append(
+                f"{design_path}: taxonomy lists `{token}`, which src/obs/phase.h does not define"
+            )
+    return problems
+
+
 def main(argv):
     if len(argv) < 2:
         print(__doc__)
@@ -129,6 +164,8 @@ def main(argv):
             all_problems.extend(check_bench_coverage(path, repo_root))
         elif name == "README.md":
             all_problems.extend(check_readme_architecture_map(path, repo_root))
+        elif name == "DESIGN.md":
+            all_problems.extend(check_design_phase_taxonomy(path, repo_root))
     if all_problems:
         print("\n".join(all_problems))
         print(f"\nmarkdown hygiene: {len(all_problems)} problem(s)")
